@@ -1,42 +1,19 @@
-"""Hot kernels for the stabilizer support sweep.
+"""Hot kernel for the stabilizer support sweep.
 
 The sweep enumerates every nonzero exponent vector w in Z_q^n and finds
 the minimum of |supp(w) union supp(Gamma w)|, which is the whole cost of
-uniformity verification. Two interchangeable backends:
-
-* "numba": an @njit odometer that updates Gamma w incrementally, one
-  column add per digit increment, parallelized over the leading digit
-  of w.
-* "numpy": chunked vectorized enumeration, no compilation needed.
-
-Set KUNIGRAPH_DISABLE_NUMBA=1 to force the numpy path; otherwise numba
-is used when importable. Both return identical (min support, witness
-index) pairs: ties break to the smallest index.
+uniformity verification. It runs as a chunked vectorized numpy
+enumeration; ties break to the smallest index.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("KUNIGRAPH_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _env in ("1", "true", "yes", "on")
-
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit, prange
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-DEFAULT_BACKEND = "numba" if HAS_NUMBA else "numpy"
+DEFAULT_BACKEND = "numpy"  # the only backend; perfbench reports it
 
 
-def min_support_numpy(gamma: np.ndarray, q: int, chunk: int = 1 << 14) -> tuple[int, int]:
+def min_support_sweep(gamma: np.ndarray, q: int, chunk: int = 1 << 14) -> tuple[int, int]:
     """Chunked numpy sweep over all nonzero w; returns (support, index)."""
     g = np.ascontiguousarray(gamma, dtype=np.int64)
     n = g.shape[0]
@@ -54,82 +31,3 @@ def min_support_numpy(gamma: np.ndarray, q: int, chunk: int = 1 << 14) -> tuple[
             best = int(weights[m])
             best_idx = int(idx[m])
     return best, best_idx
-
-
-if HAS_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _min_support_numba(gamma, q):  # pragma: no cover - exercised via dispatch
-        n = gamma.shape[0]
-        block = 1
-        for _ in range(n - 1):
-            block *= q
-        best_w = np.full(q, n + 1, dtype=np.int64)
-        best_i = np.full(q, -1, dtype=np.int64)
-        for lead in prange(q):
-            w = np.zeros(n, dtype=np.int64)
-            z = np.zeros(n, dtype=np.int64)
-            w[0] = lead
-            for r in range(n):
-                z[r] = (gamma[r, 0] * lead) % q
-            loc_w = n + 1
-            loc_i = -1
-            for s in range(block):
-                if s > 0:
-                    # base-q odometer on the suffix; each digit bump adds
-                    # one gamma column, q bumps cancel mod q on wrap
-                    pos = n - 1
-                    while True:
-                        w[pos] += 1
-                        for r in range(n):
-                            z[r] += gamma[r, pos]
-                            if z[r] >= q:
-                                z[r] -= q
-                        if w[pos] == q:
-                            w[pos] = 0
-                            pos -= 1
-                        else:
-                            break
-                elif lead == 0:
-                    continue  # skip w = 0
-                weight = 0
-                for r in range(n):
-                    if w[r] != 0 or z[r] != 0:
-                        weight += 1
-                if weight < loc_w:
-                    loc_w = weight
-                    loc_i = lead * block + s
-            best_w[lead] = loc_w
-            best_i[lead] = loc_i
-        best = n + 1
-        best_idx = -1
-        for lead in range(q):
-            if best_w[lead] < best or (best_w[lead] == best and best_i[lead] < best_idx):
-                best = best_w[lead]
-                best_idx = best_i[lead]
-        return best, best_idx
-
-    def min_support_numba(gamma: np.ndarray, q: int) -> tuple[int, int]:
-        g = np.ascontiguousarray(gamma, dtype=np.int64)
-        res = _min_support_numba(g, np.int64(q))
-        return int(res[0]), int(res[1])
-
-else:
-
-    def min_support_numba(gamma: np.ndarray, q: int) -> tuple[int, int]:
-        raise RuntimeError("numba backend unavailable (disabled by env or not installed)")
-
-
-def min_support_sweep(gamma: np.ndarray, q: int, backend: str | None = None) -> tuple[int, int]:
-    """Dispatch the sweep to the selected backend.
-
-    backend None picks the default (numba when importable and not
-    disabled by KUNIGRAPH_DISABLE_NUMBA).
-    """
-    if backend is None:
-        backend = DEFAULT_BACKEND
-    if backend == "numba":
-        return min_support_numba(gamma, q)
-    if backend == "numpy":
-        return min_support_numpy(gamma, q)
-    raise ValueError(f"unknown backend {backend!r}")

@@ -25,9 +25,6 @@ class RankSpectrum:
     q: int
     by_subset: dict[tuple[int, ...], int]
 
-    def max_rank(self) -> int:
-        return max(self.by_subset.values())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RankSpectrum)
@@ -84,6 +81,24 @@ def rank_spectrum(state: StateVector, max_size: int | None = None) -> RankSpectr
         for subset in combinations(range(1, state.n + 1), size):
             ranks[subset] = rank_of_reduction(state, subset)
     return RankSpectrum(state.n, state.q, ranks)
+
+
+def rank_spectrum_check(
+    base: StateVector,
+    hier: StateVector,
+    labels: tuple[str, str] = ("base", "hierarchy"),
+) -> SloccReport:
+    """Rank comparison on every subset of size at most floor(n/2)."""
+    spec_a = rank_spectrum(base)
+    spec_b = rank_spectrum(hier)
+    diffs = sorted(s for s in spec_a.by_subset if spec_a.by_subset[s] != spec_b.by_subset[s])
+    return SloccReport(
+        test="rank_spectrum",
+        states=labels,
+        subsets_checked=len(spec_a.by_subset),
+        distinguishing_subsets=tuple(diffs),
+        verdict="distinguished" if diffs else "not distinguished",
+    )
 
 
 def rank_split_check(

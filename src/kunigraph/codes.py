@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ResourceLimitError
-from .field import FieldElement, PrimeField
-from .matrix import MatrixGF
+from .field import PrimeField
+from .matrix import MatrixGF, json_field_and_grid
 
 ENUMERATION_GUARD = 1 << 24  # max q**k codewords enumerated brute force
 
@@ -90,7 +90,7 @@ class LinearCode:
 
     @classmethod
     def from_json(cls, payload: dict) -> "LinearCode":
-        code = cls.from_entries(PrimeField(payload["p"]), payload["A"])
+        code = cls(MatrixGF(*json_field_and_grid(payload, "A", "n", "k")))
         if code.n != payload["n"] or code.k != payload["k"]:
             raise ValueError("declared (n, k) disagrees with A matrix shape")
         return code
@@ -147,7 +147,7 @@ def dual_code(code: LinearCode) -> LinearCode:
     return LinearCode(MatrixGF(field, reduced[:, m:]))
 
 
-def singleton_gamma(field: PrimeField) -> FieldElement:
+def singleton_gamma(field: PrimeField) -> int:
     """Deterministic primitive element for Singleton-array construction.
 
     Among all primitive elements, picks the one whose leading interior
@@ -155,7 +155,7 @@ def singleton_gamma(field: PrimeField) -> FieldElement:
     leading entries, so the choice is unique.
     """
     if field.p == 2:
-        return field.element(1)
+        return 1
     best = None
     best_a1 = field.p
     for g in range(2, field.p):
@@ -164,10 +164,10 @@ def singleton_gamma(field: PrimeField) -> FieldElement:
             if a1 < best_a1:
                 best_a1 = a1
                 best = g
-    return field.element(best)
+    return best
 
 
-def singleton_array(field: PrimeField, gamma: FieldElement | int) -> list[list[int]]:
+def singleton_array(field: PrimeField, gamma: int) -> list[list[int]]:
     """Triangular array over GF(q) generated by a primitive element.
 
     Row 0 is all ones (length q); row i >= 1 is [1, a_i, a_{i+1}, ...]
@@ -189,7 +189,7 @@ def singleton_array(field: PrimeField, gamma: FieldElement | int) -> list[list[i
 
 
 def mds_a_matrix(
-    field: PrimeField, k: int, m: int, gamma: FieldElement | int | None = None
+    field: PrimeField, k: int, m: int, gamma: int | None = None
 ) -> MatrixGF:
     """A k x m matrix whose every square submatrix is nonsingular.
 

@@ -21,11 +21,22 @@ from .errors import ResourceLimitError
 from .graph import Adjacency
 
 STATE_GUARD = 1 << 24  # max q**n amplitudes
+MAX_QUDITS = STATE_GUARD.bit_length() - 1  # past this n, q**n > STATE_GUARD for every q >= 2
 NORM_TOL = 1e-9
 SUPPORT_TOL = 1e-9
 RANK_TOL = 1e-8
 MIX_TOL = 1e-8
 OVERLAP_TOL = 1e-8
+
+
+def _amplitude_count(q: int, n: int) -> int:
+    """q**n, refused before it is formed whenever it would exceed STATE_GUARD."""
+    if q >= 2 and n > MAX_QUDITS:
+        raise ResourceLimitError(f"q^n = {q}^{n} amplitudes exceeds guard {STATE_GUARD}")
+    dim = q**n
+    if dim > STATE_GUARD:
+        raise ResourceLimitError(f"q^n = {dim} amplitudes exceeds guard {STATE_GUARD}")
+    return dim
 
 
 class StateVector:
@@ -34,9 +45,7 @@ class StateVector:
     __slots__ = ("q", "n", "amplitudes")
 
     def __init__(self, q: int, n: int, amplitudes, normalize: bool = False):
-        dim = q**n
-        if dim > STATE_GUARD:
-            raise ResourceLimitError(f"q^n = {dim} amplitudes exceeds guard {STATE_GUARD}")
+        dim = _amplitude_count(q, n)
         amp = np.asarray(amplitudes, dtype=np.complex128)
         if amp.shape != (dim,):
             raise ValueError(f"amplitude vector must have length {dim}")
@@ -88,7 +97,7 @@ class StateVector:
     def from_json(cls, payload: dict) -> "StateVector":
         q, n = payload["q"], payload["n"]
         if payload.get("sparse"):
-            amp = np.zeros(q**n, dtype=np.complex128)
+            amp = np.zeros(_amplitude_count(q, n), dtype=np.complex128)
             for i, re, im in payload["amplitudes"]:
                 amp[i] = complex(re, im)
         else:
@@ -119,12 +128,11 @@ def state_from_code(code: LinearCode) -> StateVector:
     """Equal superposition of all codewords, amplitude q^{-k/2} each."""
     q = code.field.p
     n = code.n
-    if q**n > STATE_GUARD:
-        raise ResourceLimitError(f"q^n = {q**n} amplitudes exceeds guard {STATE_GUARD}")
+    dim = _amplitude_count(q, n)
     words = enumerate_codewords(code)
     powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     idx = words @ powers
-    amp = np.zeros(q**n, dtype=np.complex128)
+    amp = np.zeros(dim, dtype=np.complex128)
     amp[idx] = q ** (-code.k / 2)
     return StateVector(q, n, amp)
 
@@ -137,9 +145,8 @@ def graph_state(adj: Adjacency) -> StateVector:
     """
     q = adj.field.p
     n = adj.n
-    if q**n > STATE_GUARD:
-        raise ResourceLimitError(f"q^n = {q**n} amplitudes exceeds guard {STATE_GUARD}")
-    exps = np.zeros(q**n, dtype=np.int64)
+    dim = _amplitude_count(q, n)
+    exps = np.zeros(dim, dtype=np.int64)
     ent = adj.gamma.entries
     for i in range(n):
         di = None
@@ -149,7 +156,7 @@ def graph_state(adj: Adjacency) -> StateVector:
                     di = _digit(q, n, i + 1)
                 exps += int(ent[i, j]) * di * _digit(q, n, j + 1)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    amp = roots[exps % q] / np.sqrt(q**n)
+    amp = roots[exps % q] / np.sqrt(dim)
     return StateVector(q, n, amp)
 
 

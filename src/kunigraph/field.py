@@ -39,9 +39,8 @@ def _prime_factors(m: int) -> list[int]:
 class PrimeField:
     """The finite field GF(p) for a prime modulus p.
 
-    All element values are canonical representatives in [0, p). Scalar
-    operations work on plain ints; ``element`` wraps a value into a
-    FieldElement for operator-overloaded arithmetic.
+    Elements are plain ints; every operation returns the canonical
+    representative in [0, p).
     """
 
     __slots__ = ("p", "_inverse")
@@ -103,12 +102,6 @@ class PrimeField:
             return pow(self.inv(a), -e, self.p)
         return pow(a % self.p, e, self.p)
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
-    def elements(self) -> list["FieldElement"]:
-        return [FieldElement(v, self) for v in range(self.p)]
-
     # -- primitive elements ------------------------------------------------
 
     def is_primitive(self, g: int) -> bool:
@@ -124,104 +117,14 @@ class PrimeField:
         return True
 
 
-class FieldElement:
-    """A value in a specific GF(p), guarded against cross-field arithmetic."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        if not 0 <= value < field.p:
-            raise ValueError(f"value {value} not a canonical element of GF({field.p})")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError(
-                    f"cannot combine elements of GF({self.field.p}) and GF({other.field.p})"
-                )
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.field.element(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.add(self.value, o.value), self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.sub(self.value, o.value), self.field)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.sub(o.value, self.value), self.field)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.mul(self.value, o.value), self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.div(self.value, o.value), self.field)
-
-    def __neg__(self):
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"
-
-
-def mul_inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse of a nonzero field element."""
-    return a.inverse()
-
-
-def find_primitive(field: PrimeField) -> FieldElement:
+def find_primitive(field: PrimeField) -> int:
     """Smallest element of GF(p) with multiplicative order p-1.
 
     For p = 2 the only nonzero element, 1, is returned.
     """
     if field.p == 2:
-        return field.element(1)
+        return 1
     for g in range(2, field.p):
         if field.is_primitive(g):
-            return field.element(g)
+            return g
     raise RuntimeError("no primitive element found")  # unreachable for prime p

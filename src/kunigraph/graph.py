@@ -14,7 +14,7 @@ import numpy as np
 
 from .codes import LinearCode, mds_a_matrix
 from .field import PrimeField
-from .matrix import MatrixGF
+from .matrix import MatrixGF, json_field_and_grid
 
 
 class Adjacency:
@@ -65,8 +65,7 @@ class Adjacency:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Adjacency":
-        m = MatrixGF(PrimeField(payload["p"]), payload["gamma"])
-        adj = cls(m)
+        adj = cls(MatrixGF(*json_field_and_grid(payload, "gamma", "n")))
         if adj.n != payload["n"]:
             raise ValueError("declared n disagrees with gamma shape")
         return adj
@@ -130,7 +129,6 @@ class HierarchySpec:
 
     field: PrimeField
     levels: tuple[tuple[int, int], ...]
-    verify_blocks: bool = True
 
     def __post_init__(self):
         if not self.levels:
@@ -179,13 +177,8 @@ def hierarchy_adjacency(spec: HierarchySpec, gamma=None) -> Adjacency:
     the last n_l rows and columns, which are zero up to that point.
     """
     field = spec.field
-    n0, k0 = spec.levels[0]
-    blocks = []
-    for nl, kl in spec.levels:
-        a = mds_a_matrix(field, kl, nl - kl, gamma=gamma)
-        if spec.verify_blocks and not a.all_square_submatrices_nonsingular():
-            raise ValueError(f"level block A for ({nl}, {kl}) failed the MDS test")
-        blocks.append(a)
+    n0 = spec.levels[0][0]
+    blocks = [mds_a_matrix(field, kl, nl - kl, gamma=gamma) for nl, kl in spec.levels]
     g = _bipartite_block(field, blocks[0])
     for (nl, _), a in zip(spec.levels[1:], blocks[1:]):
         g[n0 - nl :, n0 - nl :] = _bipartite_block(field, a)

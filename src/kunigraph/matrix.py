@@ -216,14 +216,45 @@ class MatrixGF:
 
     @classmethod
     def from_json(cls, payload: dict) -> "MatrixGF":
-        field = PrimeField(payload["p"])
-        arr = np.array(payload["entries"], dtype=np.int64)
+        field, grid = json_field_and_grid(payload, "entries", "rows", "cols")
+        arr = np.array(grid, dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(payload["rows"], payload["cols"])
         m = cls(field, arr)
         if m.shape != (payload["rows"], payload["cols"]):
             raise ValueError("entries shape disagrees with declared rows/cols")
         return m
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_field_and_grid(payload, grid_key: str, *count_keys: str) -> tuple[PrimeField, list]:
+    """The field and entry grid of a JSON payload, validated exactly.
+
+    The payload must be an object with an integer "p", integer counts
+    under count_keys and, under grid_key, a list of rows whose entries
+    are integers in [0, p). Booleans do not count as integers, and
+    nothing is truncated or reduced mod p. Every refusal is a ValueError.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    for key in ("p", grid_key, *count_keys):
+        if key not in payload:
+            raise ValueError(f"missing key {key!r}")
+    for key in ("p", *count_keys):
+        if not _is_int(payload[key]):
+            raise ValueError(f"{key!r} must be an integer, got {payload[key]!r}")
+    field = PrimeField(payload["p"])
+    grid = payload[grid_key]
+    if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
+        raise ValueError(f"{grid_key!r} must be a list of rows")
+    for row in grid:
+        for value in row:
+            if not _is_int(value) or not 0 <= value < field.p:
+                raise ValueError(f"entry {value!r} is not an integer in [0, {field.p})")
+    return field, grid
 
 
 def combine_rows(m: MatrixGF, coeffs: Iterable[int]) -> np.ndarray:

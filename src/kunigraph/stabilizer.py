@@ -1,4 +1,4 @@
-"""Symplectic Pauli products and the exhaustive uniformity verifier.
+"""Graph-state generators and the exhaustive uniformity verifier.
 
 A product of graph-state generators S_1^{w_1} ... S_n^{w_n} has X-exponent
 vector w and Z-exponent vector Gamma w, so qudit i carries the identity
@@ -19,119 +19,13 @@ from .matrix import MatrixGF
 SWEEP_GUARD = 1 << 26  # max q**n exponent vectors enumerated
 
 
-class PauliProduct:
-    """omega^phase * prod_i X_i^{x[i]} Z_i^{z[i]} on n qudits."""
+def graph_generators(adj: Adjacency) -> np.ndarray:
+    """Tableau [I | Gamma] of the generators X_i prod_j Z_j^{Gamma[i, j]}.
 
-    __slots__ = ("field", "n", "phase", "x_exp", "z_exp")
-
-    def __init__(self, field, phase: int, x_exp, z_exp):
-        x = np.mod(np.asarray(x_exp, dtype=np.int64), field.p)
-        z = np.mod(np.asarray(z_exp, dtype=np.int64), field.p)
-        if x.ndim != 1 or x.shape != z.shape:
-            raise ValueError("x and z exponent vectors must be 1-D and equal length")
-        x.setflags(write=False)
-        z.setflags(write=False)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", int(x.shape[0]))
-        object.__setattr__(self, "phase", phase % field.p)
-        object.__setattr__(self, "x_exp", x)
-        object.__setattr__(self, "z_exp", z)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PauliProduct is immutable")
-
-    def is_identity(self) -> bool:
-        return not (self.x_exp.any() or self.z_exp.any())
-
-    def support(self) -> np.ndarray:
-        """Indices (0-based) of qudits carrying a non-identity factor."""
-        return np.nonzero((self.x_exp != 0) | (self.z_exp != 0))[0]
-
-    def weight(self) -> int:
-        return int(np.count_nonzero((self.x_exp != 0) | (self.z_exp != 0)))
-
-    def __mul__(self, other: "PauliProduct") -> "PauliProduct":
-        if not isinstance(other, PauliProduct):
-            return NotImplemented
-        if other.field != self.field or other.n != self.n:
-            raise ValueError("operands act on different qudit registers")
-        # per qudit: Z^z X^x = omega^{z x} X^x Z^z
-        cross = int(np.dot(self.z_exp, other.x_exp)) % self.field.p
-        return PauliProduct(
-            self.field,
-            self.phase + other.phase + cross,
-            self.x_exp + other.x_exp,
-            self.z_exp + other.z_exp,
-        )
-
-    def commutes_with(self, other: "PauliProduct") -> bool:
-        """Zero symplectic product x.z' - z.x' mod q."""
-        s = int(np.dot(self.x_exp, other.z_exp)) - int(np.dot(self.z_exp, other.x_exp))
-        return s % self.field.p == 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PauliProduct)
-            and other.field == self.field
-            and other.phase == self.phase
-            and np.array_equal(other.x_exp, self.x_exp)
-            and np.array_equal(other.z_exp, self.z_exp)
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"PauliProduct(p={self.field.p}, phase={self.phase}, "
-            f"x={self.x_exp.tolist()}, z={self.z_exp.tolist()})"
-        )
-
-
-class StabilizerGroupDesc:
-    """n commuting independent generators of an n-qudit stabilizer group."""
-
-    __slots__ = ("field", "n", "generators")
-
-    def __init__(self, field, generators: list[PauliProduct]):
-        n = len(generators)
-        for g in generators:
-            if g.field != field or g.n != n:
-                raise ValueError("each generator must act on all n qudits of the field")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not generators[i].commutes_with(generators[j]):
-                    raise ValueError(f"generators {i} and {j} do not commute")
-        tableau = np.concatenate(
-            [
-                np.stack([g.x_exp for g in generators]),
-                np.stack([g.z_exp for g in generators]),
-            ],
-            axis=1,
-        )
-        if MatrixGF(field, tableau).rank() != n:
-            raise ValueError("generators are not independent")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "generators", tuple(generators))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StabilizerGroupDesc is immutable")
-
-    def product(self, w) -> PauliProduct:
-        """S_1^{w_1} ... S_n^{w_n} with exact phase tracking."""
-        w = np.mod(np.asarray(w, dtype=np.int64), self.field.p)
-        acc = PauliProduct(self.field, 0, np.zeros(self.n), np.zeros(self.n))
-        for wi, g in zip(w, self.generators):
-            for _ in range(int(wi)):
-                acc = acc * g
-        return acc
-
-
-def graph_generators(adj: Adjacency) -> StabilizerGroupDesc:
-    """Generators X_i prod_j Z_j^{Gamma[i, j]} of the graph state."""
-    gens = []
-    eye = np.eye(adj.n, dtype=np.int64)
-    for i in range(adj.n):
-        gens.append(PauliProduct(adj.field, 0, eye[i], adj.gamma.entries[i]))
-    return StabilizerGroupDesc(adj.field, gens)
+    Row i holds the X exponents then the Z exponents of generator i. The
+    rows commute and are independent for every valid adjacency.
+    """
+    return np.concatenate([np.eye(adj.n, dtype=np.int64), adj.gamma.entries], axis=1)
 
 
 def support_weight(w, adj: Adjacency) -> int:
@@ -151,32 +45,32 @@ def _check_sweep_size(adj: Adjacency) -> None:
         )
 
 
-def minimum_support(adj: Adjacency, backend: str | None = None) -> tuple[int, np.ndarray]:
+def minimum_support(adj: Adjacency) -> tuple[int, np.ndarray]:
     """Minimum support weight over all nonzero w, with a witness vector.
 
     The witness is the lexicographically first w attaining the minimum
-    (base-q index order), so reruns and backends agree exactly.
+    (base-q index order), so reruns agree exactly.
     """
     _check_sweep_size(adj)
     q = adj.field.p
-    weight, idx = min_support_sweep(adj.gamma.entries, q, backend=backend)
+    weight, idx = min_support_sweep(adj.gamma.entries, q)
     powers = q ** np.arange(adj.n - 1, -1, -1, dtype=np.int64)
     witness = (idx // powers) % q
     return weight, witness
 
 
-def uniformity_index(adj: Adjacency, backend: str | None = None) -> int:
+def uniformity_index(adj: Adjacency) -> int:
     """Exact uniformity k: minimum support weight minus one.
 
     The graph state is k-uniform and not (k+1)-uniform, because some
     nonzero generator product acts as the identity on n - (k+1) qudits
     while none acts as the identity on more.
     """
-    weight, _ = minimum_support(adj, backend=backend)
+    weight, _ = minimum_support(adj)
     return weight - 1
 
 
-def verify_general_uniformity(code: LinearCode, b: MatrixGF, backend: str | None = None) -> bool:
+def verify_general_uniformity(code: LinearCode, b: MatrixGF) -> bool:
     """True iff the generalized adjacency for (code, B) is at least k-uniform."""
     adj = general_adjacency(code, b)
-    return uniformity_index(adj, backend=backend) >= code.k
+    return uniformity_index(adj) >= code.k

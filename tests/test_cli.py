@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from kunigraph import cli
 
 
@@ -201,6 +203,28 @@ def test_export_dot_round_trip(tmp_path, capsys):
 def test_export_missing_file(capsys):
     status, _ = run_cli(capsys, "export", "--adjacency", "/nonexistent/adj.json")
     assert status == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"p": 5, "n": 2, "gamma": [[0, 7], [7, 0]]},  # entry outside [0, p)
+        {"p": 5, "n": 2, "gamma": [[0, 1.5], [1.5, 0]]},  # non-integer entry
+        {"p": 5, "n": 2, "gamma": [[0, -1], [-1, 0]]},  # negative entry
+        {"p": 5, "n": 2, "gamma": [[0, True], [True, 0]]},  # boolean entry
+        {"p": "5", "n": 2, "gamma": [[0, 1], [1, 0]]},  # string modulus
+        {"p": True, "n": 2, "gamma": [[0, 1], [1, 0]]},  # boolean modulus
+        {"p": 5, "gamma": [[0, 1], [1, 0]]},  # missing n
+        {"p": 5, "n": 2, "gamma": [0, 1]},  # not a list of rows
+        [[0, 1], [1, 0]],  # not an object
+    ],
+)
+def test_export_refuses_inexact_adjacency_json(tmp_path, capsys, payload):
+    path = tmp_path / "adj.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    status, out = run_cli(capsys, "export", "--adjacency", str(path))
+    assert status == 2
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------

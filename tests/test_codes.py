@@ -202,10 +202,10 @@ def test_singleton_array_rejects_non_primitive(f5):
 
 
 def test_singleton_gamma_choices():
-    assert int(singleton_gamma(PrimeField(5))) == 3
-    assert int(singleton_gamma(PrimeField(7))) == 3
-    assert int(singleton_gamma(PrimeField(3))) == 2
-    assert int(singleton_gamma(PrimeField(2))) == 1
+    assert singleton_gamma(PrimeField(5)) == 3
+    assert singleton_gamma(PrimeField(7)) == 3
+    assert singleton_gamma(PrimeField(3)) == 2
+    assert singleton_gamma(PrimeField(2)) == 1
 
 
 def test_gf7_rectangles_from_gamma3_are_all_mds():
@@ -283,3 +283,6 @@ def test_code_json_round_trip(f5):
     payload["n"] = 7
     with pytest.raises(ValueError):
         LinearCode.from_json(payload)
+    for bad in ({"k": "2"}, {"A": [[1, 1, 1, 1], [1, 2, 3, 9]]}, {"p": None}):
+        with pytest.raises(ValueError):
+            LinearCode.from_json({**code.to_json(), **bad})

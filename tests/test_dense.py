@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from kunigraph.errors import ResourceLimitError
 from kunigraph.field import PrimeField
 from kunigraph.graph import Adjacency, bipartite_adjacency
 from kunigraph.matrix import MatrixGF
-from kunigraph.stabilizer import graph_generators
+from kunigraph.stabilizer import graph_generators, support_weight
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +45,12 @@ def test_norm_validation():
 def test_size_guard():
     with pytest.raises(ResourceLimitError):
         StateVector(2, 25, np.zeros(2**25))
+
+
+def test_size_guard_refuses_huge_n_before_forming_q_to_the_n():
+    for sparse in (False, True):
+        with pytest.raises(ResourceLimitError):
+            StateVector.from_json({"q": 5, "n": 10**6, "sparse": sparse, "amplitudes": []})
 
 
 def test_json_round_trip_dense_and_sparse(f5):
@@ -90,14 +98,34 @@ def test_empty_graph_is_plus_states():
 def test_bell_graph_eigenchecks(f5):
     adj = bipartite_adjacency(LinearCode.from_entries(f5, [[1]]))
     g = graph_state(adj)
-    for gen in graph_generators(adj).generators:
-        assert eigencheck(g, gen.x_exp, gen.z_exp)
+    for row in graph_generators(adj):
+        assert eigencheck(g, row[: adj.n], row[adj.n :])
 
 
 def test_62_hierarchy_graph_eigenchecks(adj62):
     g = graph_state(adj62)
-    for gen in graph_generators(adj62).generators:
-        assert eigencheck(g, gen.x_exp, gen.z_exp)
+    for row in graph_generators(adj62):
+        assert eigencheck(g, row[: adj62.n], row[adj62.n :])
+
+
+def test_generator_products_match_sweep_weights():
+    # S_1^{w_1} ... S_n^{w_n} is X^w Z^{Gamma w} up to a phase; apply it
+    # gate by gate and compare its weight with the sweep's support weight
+    for adj in (
+        bipartite_adjacency(LinearCode.from_entries(PrimeField(5), [[1]])),
+        bipartite_adjacency(mds_code(PrimeField(3), 4, 2)),
+    ):
+        q, n = adj.field.p, adj.n
+        g = graph_state(adj)
+        tableau = graph_generators(adj)
+        for w in product(range(q), repeat=n):
+            exps = (np.array(w) @ tableau) % q
+            x, z = exps[:n], exps[n:]
+            out = g
+            for i in range(n):
+                out = apply_x(apply_z(out, i + 1, int(z[i])), i + 1, int(x[i]))
+            assert out.overlap(g) >= 1 - 1e-9, w
+            assert np.count_nonzero((x != 0) | (z != 0)) == support_weight(w, adj), w
 
 
 def test_non_stabilizer_operator_fails_eigencheck(f5):

@@ -1,6 +1,6 @@
 import pytest
 
-from kunigraph.field import FieldElement, PrimeField, find_primitive, mul_inv
+from kunigraph.field import PrimeField, find_primitive
 
 PRIMES_TO_101 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101]
@@ -85,13 +85,6 @@ def test_zero_has_no_inverse():
         PrimeField(7).inv(0)
 
 
-def test_mul_inv_on_elements():
-    f = PrimeField(5)
-    e = f.element(3)
-    assert mul_inv(e) == f.element(2)
-    assert e * mul_inv(e) == f.element(1)
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_every_nonzero_element_has_inverse(p):
     f = PrimeField(p)
@@ -134,45 +127,23 @@ def test_results_stay_canonical(p):
 
 
 # ---------------------------------------------------------------------------
-# FieldElement wrapper
+# the remaining scalar operations
 # ---------------------------------------------------------------------------
 
 def test_element_arithmetic():
     f = PrimeField(5)
-    a, b = f.element(3), f.element(4)
-    assert a + b == f.element(2)
-    assert a - b == f.element(4)
-    assert a * b == f.element(2)
-    assert a / b == f.element(2)  # 3 * inv(4) = 3 * 4 = 12 = 2
-    assert -a == f.element(2)
-    assert a**3 == f.element(2)  # 27 mod 5
-    assert int(a) == 3
-
-
-def test_elements_of_different_fields_never_combine():
-    a = PrimeField(5).element(2)
-    b = PrimeField(7).element(2)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a * b
-
-
-def test_element_rejects_out_of_range_value():
-    with pytest.raises(ValueError):
-        FieldElement(5, PrimeField(5))
-
-
-def test_element_is_immutable():
-    a = PrimeField(5).element(2)
-    with pytest.raises(AttributeError):
-        a.value = 3
+    assert f.sub(3, 4) == 4
+    assert f.div(3, 4) == 2  # 3 * inv(4) = 3 * 4 = 12 = 2
+    assert f.neg(3) == 2
+    assert f.pow(3, 3) == 2  # 27 mod 5
+    assert f.pow(3, -1) == f.inv(3) == 2
 
 
 def test_int_operands_coerce_into_the_field():
     f = PrimeField(5)
-    assert f.element(3) + 4 == f.element(2)
-    assert 2 * f.element(4) == f.element(3)
+    assert f.add(8, 4) == 2
+    assert f.mul(-1, 4) == 1
+    assert f.inv(7) == f.inv(2) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +151,14 @@ def test_int_operands_coerce_into_the_field():
 # ---------------------------------------------------------------------------
 
 def test_find_primitive_gf2():
-    assert find_primitive(PrimeField(2)) == PrimeField(2).element(1)
+    assert find_primitive(PrimeField(2)) == 1
 
 
 def test_find_primitive_gf5_smallest():
     f = PrimeField(5)
     g = find_primitive(f)
-    assert int(g) == 2
-    assert brute_force_order(5, int(g)) == 4
+    assert type(g) is int and g == 2
+    assert brute_force_order(5, g) == 4
     # 3 generates the group as well: 3, 9=4, 27=2, 81=1
     assert f.is_primitive(3)
 
@@ -195,7 +166,7 @@ def test_find_primitive_gf5_smallest():
 def test_find_primitive_gf7():
     f = PrimeField(7)
     g = find_primitive(f)
-    assert int(g) == 3
+    assert g == 3
     assert brute_force_order(7, 3) == 6
     assert not f.is_primitive(2)  # 2^3 = 1 mod 7
 
@@ -212,7 +183,7 @@ def test_orders_divide_group_size_and_primitivity_matches(p):
 @pytest.mark.parametrize("p", PRIMES_TO_101)
 def test_found_primitive_generates_all_nonzero_elements(p):
     f = PrimeField(p)
-    g = int(find_primitive(f))
+    g = find_primitive(f)
     seen = set()
     x = 1
     for _ in range(p - 1):

@@ -1,8 +1,4 @@
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from kunigraph import _kernels
 from kunigraph.codes import mds_code
@@ -24,52 +20,17 @@ def corpus():
 
 def test_numpy_chunk_size_does_not_change_results():
     for gamma, q in corpus():
-        small = _kernels.min_support_numpy(gamma, q, chunk=7)
-        large = _kernels.min_support_numpy(gamma, q, chunk=1 << 16)
+        small = _kernels.min_support_sweep(gamma, q, chunk=7)
+        large = _kernels.min_support_sweep(gamma, q, chunk=1 << 16)
         assert small == large
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba backend disabled")
-def test_backends_agree_exactly():
-    for gamma, q in corpus():
-        nb = _kernels.min_support_numba(gamma, q)
-        np_ = _kernels.min_support_numpy(gamma, q)
-        assert nb == np_, (q, gamma.tolist())
-
-
-def test_dispatch_rejects_unknown_backend():
-    gamma = np.zeros((2, 2), dtype=np.int64)
-    with pytest.raises(ValueError):
-        _kernels.min_support_sweep(gamma, 5, backend="cuda")
-
-
-def test_default_backend_matches_numba_availability():
-    expected = "numba" if _kernels.HAS_NUMBA else "numpy"
-    assert _kernels.DEFAULT_BACKEND == expected
-
-
-def test_env_flag_forces_numpy_fallback():
-    code = (
-        "import os; os.environ['KUNIGRAPH_DISABLE_NUMBA'] = '1'\n"
-        "from kunigraph import _kernels\n"
-        "assert _kernels.DEFAULT_BACKEND == 'numpy'\n"
-        "assert not _kernels.HAS_NUMBA\n"
-        "import numpy as np\n"
-        "g = np.array([[0, 4], [4, 0]], dtype=np.int64)\n"
-        "assert _kernels.min_support_sweep(g, 5) == (2, 1)\n"
-        "try:\n"
-        "    _kernels.min_support_numba(g, 5)\n"
-        "except RuntimeError:\n"
-        "    pass\n"
-        "else:\n"
-        "    raise AssertionError('numba path should be disabled')\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+def test_default_backend_is_numpy():
+    assert _kernels.DEFAULT_BACKEND == "numpy"
 
 
 def test_witness_index_is_the_first_minimum():
     # the bell graph: every nonzero w touches both qudits, so the first
     # nonzero index (w = (0, 1)) is the witness
     gamma = np.array([[0, 4], [4, 0]], dtype=np.int64)
-    assert _kernels.min_support_numpy(gamma, 5) == (2, 1)
+    assert _kernels.min_support_sweep(gamma, 5) == (2, 1)

@@ -248,6 +248,22 @@ def test_json_rejects_mismatched_shape(f5):
         MatrixGF.from_json({"p": 5, "rows": 4, "cols": 2, "entries": PAPER_A})
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"p": 5, "rows": 1, "cols": 2, "entries": [[1, 5]]},
+        {"p": 5, "rows": 1, "cols": 2, "entries": [[1, 2.0]]},
+        {"p": 5.0, "rows": 1, "cols": 2, "entries": [[1, 2]]},
+        {"p": 5, "rows": 1, "cols": False, "entries": [[1, 2]]},
+        {"p": 5, "rows": 1, "entries": [[1, 2]]},
+        "entries",
+    ],
+)
+def test_json_refuses_inexact_payloads(payload):
+    with pytest.raises(ValueError):
+        MatrixGF.from_json(payload)
+
+
 def test_json_empty_columns_round_trip(f5):
     m = MatrixGF.zeros(f5, 2, 0)
     assert MatrixGF.from_json(m.to_json()) == m

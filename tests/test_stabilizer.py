@@ -17,8 +17,6 @@ from kunigraph.graph import (
 )
 from kunigraph.matrix import MatrixGF
 from kunigraph.stabilizer import (
-    PauliProduct,
-    StabilizerGroupDesc,
     graph_generators,
     minimum_support,
     support_weight,
@@ -33,65 +31,22 @@ def bell_adj(f5):
 
 
 # ---------------------------------------------------------------------------
-# Pauli products in the symplectic picture
-# ---------------------------------------------------------------------------
-
-def test_identity_detection(f5):
-    ident = PauliProduct(f5, 0, [0, 0], [0, 0])
-    assert ident.is_identity()
-    assert ident.weight() == 0
-    assert not PauliProduct(f5, 0, [1, 0], [0, 0]).is_identity()
-
-
-def test_product_adds_exponents_and_tracks_phase(f5):
-    # on one qudit: (X^1)(Z^1) then reversed; Z X = omega X Z
-    x = PauliProduct(f5, 0, [1], [0])
-    z = PauliProduct(f5, 0, [0], [1])
-    xz = x * z
-    zx = z * x
-    assert np.array_equal(xz.x_exp, zx.x_exp)
-    assert np.array_equal(xz.z_exp, zx.z_exp)
-    assert (zx.phase - xz.phase) % 5 == 1
-
-
-def test_commutation_via_symplectic_form(f5):
-    x = PauliProduct(f5, 0, [1], [0])
-    z = PauliProduct(f5, 0, [0], [1])
-    assert not x.commutes_with(z)
-    xx = PauliProduct(f5, 0, [1, 1], [0, 0])
-    zz = PauliProduct(f5, 0, [0, 0], [1, 4])
-    # symplectic product 1*1 + 1*4 = 5 = 0 mod 5
-    assert xx.commutes_with(zz)
-
-
-def test_support_positions(f5):
-    op = PauliProduct(f5, 0, [1, 0, 0], [0, 0, 2])
-    assert op.support().tolist() == [0, 2]
-    assert op.weight() == 2
-
-
-# ---------------------------------------------------------------------------
-# generator construction
+# generator tableaux
 # ---------------------------------------------------------------------------
 
 def test_bell_graph_generators(f5, bell_adj):
-    desc = graph_generators(bell_adj)
-    s1, s2 = desc.generators
-    assert s1.x_exp.tolist() == [1, 0] and s1.z_exp.tolist() == [0, 4]
-    assert s2.x_exp.tolist() == [0, 1] and s2.z_exp.tolist() == [4, 0]
-    assert s1.phase == 0 and s2.phase == 0
+    assert graph_generators(bell_adj).tolist() == [[1, 0, 0, 4], [0, 1, 4, 0]]
 
 
 def test_empty_graph_generators_are_bare_shifts(f5):
-    desc = graph_generators(Adjacency(MatrixGF.zeros(f5, 3, 3)))
-    for i, g in enumerate(desc.generators):
-        assert g.x_exp.tolist() == [int(j == i) for j in range(3)]
-        assert not g.z_exp.any()
+    tableau = graph_generators(Adjacency(MatrixGF.zeros(f5, 3, 3)))
+    assert np.array_equal(tableau[:, :3], np.eye(3, dtype=np.int64))
+    assert not tableau[:, 3:].any()
 
 
 def test_62_generator_table(f5):
     adj = bipartite_adjacency(mds_code(f5, 6, 2))
-    desc = graph_generators(adj)
+    tableau = graph_generators(adj)
     expected_z = [
         [0, 0, 4, 4, 4, 4],
         [0, 0, 4, 3, 2, 1],
@@ -100,33 +55,31 @@ def test_62_generator_table(f5):
         [4, 2, 0, 0, 0, 0],
         [4, 1, 0, 0, 0, 0],
     ]
-    for i, g in enumerate(desc.generators):
-        assert g.x_exp.tolist() == [int(j == i) for j in range(6)]
-        assert g.z_exp.tolist() == expected_z[i]
+    assert tableau.shape == (6, 12)
+    assert np.array_equal(tableau[:, :6], np.eye(6, dtype=np.int64))
+    assert tableau[:, 6:].tolist() == expected_z
 
 
-def test_group_desc_rejects_noncommuting(f5):
-    # X and Z on the same qudit: symplectic product 1, so they clash
-    x1 = PauliProduct(f5, 0, [1, 0], [0, 0])
-    z1 = PauliProduct(f5, 0, [0, 0], [1, 0])
-    with pytest.raises(ValueError):
-        StabilizerGroupDesc(f5, [x1, z1])
-    with pytest.raises(ValueError):
-        StabilizerGroupDesc(f5, [PauliProduct(f5, 0, [1, 0], [0, 1]),
-                                 PauliProduct(f5, 0, [0, 1], [0, 0])])
+def test_commutation_via_symplectic_form(f5, adj62):
+    # S_i and S_j commute iff x_i . z_j - z_i . x_j = 0 mod q
+    tableau = graph_generators(adj62)
+    x, z = tableau[:, :6], tableau[:, 6:]
+    assert not ((x @ z.T - z @ x.T) % 5).any()
+    # X and Z on one qudit have symplectic product 1, so they clash
+    clash = np.array([[1, 0, 0, 0], [0, 0, 1, 0]])
+    cx, cz = clash[:, :2], clash[:, 2:]
+    assert ((cx @ cz.T - cz @ cx.T) % 5).any()
 
 
-def test_group_desc_rejects_dependent_generators(f5):
-    g = PauliProduct(f5, 0, [1, 0], [0, 0])
-    with pytest.raises(ValueError):
-        StabilizerGroupDesc(f5, [g, g * g])
-
-
-def test_generator_products_match_sweep_weights(f5, bell_adj):
-    desc = graph_generators(bell_adj)
+def test_identity_detection(f5, bell_adj):
+    # a generator product is the identity iff it has empty support,
+    # and the X part w of a nonzero product is never empty
     for w in product(range(5), repeat=2):
-        expected = support_weight(list(w), bell_adj)
-        assert desc.product(w).weight() == expected
+        assert (support_weight(list(w), bell_adj) == 0) == (w == (0, 0))
+
+
+def test_generator_tableau_has_full_rank(f5, adj62):
+    assert MatrixGF(f5, graph_generators(adj62)).rank() == 6
 
 
 # ---------------------------------------------------------------------------
