@@ -1,33 +1,100 @@
 """Hot kernel for the stabilizer support sweep.
 
-The sweep enumerates every nonzero exponent vector w in Z_q^n and finds
-the minimum of |supp(w) union supp(Gamma w)|, which is the whole cost of
-uniformity verification. It runs as a chunked vectorized numpy
-enumeration; ties break to the smallest index.
+The sweep finds the minimum of |supp(w) union supp(Gamma w)| over the
+nonzero exponent vectors w in Z_q^n, which is the whole cost of
+uniformity verification, and the smallest base-q index attaining it.
+
+The weight of w is at least |supp(w)|. So the kernel enumerates w level
+by level, t = |supp(w)| = 1, 2, ..., and stops after level t once the
+best weight found is at most t: no vector of larger support can beat it.
+Every w attaining the minimum has support at most that minimum, so every
+attainer has been seen when the sweep stops, and the smallest index among
+them is the same witness an enumeration of all q^n - 1 vectors returns.
+For a k-uniform graph state the sweep ends at level k + 1.
+
+A level is a batch of (support, value pattern) pairs, with patterns in
+{1..q-1}^t, processed as numpy arrays of about ``chunk`` vectors. The
+last r support positions of a batch take all their (q-1)^r patterns at
+once, as a tensor sum of precomputed multiples c * Gamma[i] mod q; when
+(q-1)^t exceeds ``chunk``, the first t - r positions run through their
+patterns one at a time.
 """
 
 from __future__ import annotations
+
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 DEFAULT_BACKEND = "numpy"  # the only backend; perfbench reports it
 
 
+def _patterns(q: int, width: int) -> np.ndarray:
+    """Every vector in {1..q-1}^width as a row, in lexicographic order."""
+    places = (q - 1) ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    idx = np.arange((q - 1) ** width, dtype=np.int64)
+    return (idx[:, None] // places) % (q - 1) + 1
+
+
 def min_support_sweep(gamma: np.ndarray, q: int, chunk: int = 1 << 14) -> tuple[int, int]:
-    """Chunked numpy sweep over all nonzero w; returns (support, index)."""
+    """Minimum support over all nonzero w, in support order; returns (support, index).
+
+    The index is the smallest base-q index (w_1 most significant) among
+    the vectors attaining the minimum.
+    """
     g = np.ascontiguousarray(gamma, dtype=np.int64)
     n = g.shape[0]
-    total = q**n
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    best = n + 1
-    best_idx = -1
-    for start in range(1, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        w = (idx[:, None] // powers[None, :]) % q
-        z = (w @ g) % q  # gamma is symmetric, so w @ g == (g @ w^T)^T
-        weights = np.count_nonzero((w != 0) | (z != 0), axis=1)
-        m = int(weights.argmin())
-        if int(weights[m]) < best:
-            best = int(weights[m])
-            best_idx = int(idx[m])
+    # unsigned, so a + b - q wraps above a + b exactly when a + b < q; it also
+    # holds a weight, which is at most n
+    small = np.min_scalar_type(max(2 * q, n))
+    q_small = small.type(q)
+    values = np.arange(1, q, dtype=np.int64)
+    # row_mult[i, :, c - 1] = c * Gamma[i] mod q: the part of Gamma w due to w_i = c;
+    # place_mult[i, c - 1] = c * q^(n-1-i): its part of the base-q index of w
+    row_mult = (g[:, :, None] * values % q).astype(small)
+    place_mult = q ** np.arange(n - 1, -1, -1, dtype=np.int64)[:, None] * values
+
+    def add_mod(a, b):
+        s = a + b
+        return np.minimum(s, s - q_small, out=s)
+
+    best, best_idx = n + 1, -1
+    for t in range(1, n + 1):
+        r = t
+        while r > 1 and (q - 1) ** r > chunk:
+            r -= 1
+        h = t - r
+        heads = _patterns(q, h)
+        supports = combinations(range(n), t)
+        per_batch = max(1, chunk // (q - 1) ** r)
+        while True:
+            flat = np.fromiter(chain.from_iterable(islice(supports, per_batch)), dtype=np.int64)
+            if flat.size == 0:
+                break
+            s = flat.reshape(-1, t)
+            b = s.shape[0]
+            inside = np.zeros((b, n), dtype=bool)
+            np.put_along_axis(inside, s, True, axis=1)
+            inside = inside.T[:, :, None]
+            # Gamma w laid out as (qudit, support, pattern), so a weight is a
+            # sum over the leading axis
+            mult = np.moveaxis(row_mult[s[:, h:]], 2, 0)  # (n, b, r, q-1)
+            pmult = place_mult[s[:, h:]]  # (b, r, q-1)
+            z_tail, idx_tail = mult[:, :, 0], pmult[:, 0]
+            for j in range(1, r):
+                z_tail = add_mod(z_tail[:, :, :, None], mult[:, :, j, None, :]).reshape(n, b, -1)
+                idx_tail = (idx_tail[:, :, None] + pmult[:, j, None]).reshape(b, -1)
+            for head in heads:
+                z_head = (g[s[:, :h]] * head[:, None]).sum(axis=1) % q  # (b, n)
+                nonzero = add_mod(z_tail, z_head.T.astype(small)[:, :, None]) != 0
+                nonzero |= inside
+                weights = nonzero.sum(axis=0, dtype=small)  # (b, (q-1)^r)
+                m = int(weights.min())
+                if m <= best:
+                    idx_head = place_mult[s[:, :h], head - 1].sum(axis=1)
+                    cand = int((idx_tail + idx_head[:, None])[weights == m].min())
+                    if m < best or cand < best_idx:
+                        best, best_idx = m, cand
+        if best <= t:
+            break
     return best, best_idx

@@ -89,6 +89,8 @@ def rank_spectrum_check(
     labels: tuple[str, str] = ("base", "hierarchy"),
 ) -> SloccReport:
     """Rank comparison on every subset of size at most floor(n/2)."""
+    if (hier.n, hier.q) != (base.n, base.q):
+        raise ValueError("states live on different registers")
     spec_a = rank_spectrum(base)
     spec_b = rank_spectrum(hier)
     diffs = sorted(s for s in spec_a.by_subset if spec_a.by_subset[s] != spec_b.by_subset[s])

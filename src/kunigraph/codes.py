@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, max_exponent
 from .field import PrimeField
 from .matrix import MatrixGF, json_field_and_grid
 
@@ -59,9 +59,9 @@ class LinearCode:
         return self.field.p**self.k
 
     def _guard(self) -> None:
-        if self.message_count() > ENUMERATION_GUARD:
+        if self.k > max_exponent(self.field.p, ENUMERATION_GUARD):
             raise ResourceLimitError(
-                f"q^k = {self.message_count()} codewords exceeds enumeration guard "
+                f"q^k = {self.field.p}^{self.k} codewords exceeds enumeration guard "
                 f"{ENUMERATION_GUARD}"
             )
 

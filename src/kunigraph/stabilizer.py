@@ -1,9 +1,15 @@
-"""Graph-state generators and the exhaustive uniformity verifier.
+"""Graph-state generators and the exact uniformity verifier.
 
 A product of graph-state generators S_1^{w_1} ... S_n^{w_n} has X-exponent
 vector w and Z-exponent vector Gamma w, so qudit i carries the identity
-iff w_i = 0 and (Gamma w)_i = 0. Sweeping all nonzero w gives the exact
-uniformity index without touching any q^n-dimensional vector.
+iff w_i = 0 and (Gamma w)_i = 0. The minimum support weight over nonzero
+w gives the exact uniformity index without touching any q^n-dimensional
+vector. The sweep walks w in order of |supp(w)| and stops at the first
+level t with a weight at most t found, since the weight of w is never
+below |supp(w)|; for a state that is exactly k-uniform that is level
+k + 1. The witness is the lexicographically first minimizer over
+all q^n - 1 vectors: every minimizer has support at most the minimum, so
+it lies in a level the sweep walked.
 """
 
 from __future__ import annotations
@@ -12,11 +18,11 @@ import numpy as np
 
 from ._kernels import min_support_sweep
 from .codes import LinearCode
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, max_exponent
 from .graph import Adjacency, general_adjacency
 from .matrix import MatrixGF
 
-SWEEP_GUARD = 1 << 26  # max q**n exponent vectors enumerated
+SWEEP_GUARD = 1 << 26  # max q**n, the size of the space the sweep may walk
 
 
 def graph_generators(adj: Adjacency) -> np.ndarray:
@@ -39,17 +45,21 @@ def support_weight(w, adj: Adjacency) -> int:
 
 
 def _check_sweep_size(adj: Adjacency) -> None:
-    if adj.field.p**adj.n > SWEEP_GUARD:
+    if adj.n > max_exponent(adj.field.p, SWEEP_GUARD):
         raise ResourceLimitError(
-            f"q^n = {adj.field.p**adj.n} exponent vectors exceeds sweep guard {SWEEP_GUARD}"
+            f"q^n = {adj.field.p}^{adj.n} exponent vectors exceeds sweep guard {SWEEP_GUARD}"
         )
 
 
 def minimum_support(adj: Adjacency) -> tuple[int, np.ndarray]:
     """Minimum support weight over all nonzero w, with a witness vector.
 
-    The witness is the lexicographically first w attaining the minimum
-    (base-q index order), so reruns agree exactly.
+    The sweep enumerates w by support size t = 1, 2, ... and stops after
+    the first level t at which the best weight is at most t. Every w that
+    attains the minimum has support at most the minimum, so all of them
+    have been enumerated by then. The witness is the lexicographically
+    first of them (base-q index order), the same w an enumeration of all
+    q^n - 1 vectors returns, so reruns agree exactly.
     """
     _check_sweep_size(adj)
     q = adj.field.p

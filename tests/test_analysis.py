@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from kunigraph.analysis import ame_support_check, rank_spectrum, rank_split_check
+from kunigraph.analysis import (
+    ame_support_check,
+    rank_spectrum,
+    rank_spectrum_check,
+    rank_split_check,
+)
 from kunigraph.codes import LinearCode
 from kunigraph.dense import apply_fourier, apply_x, apply_z, state_from_code
 
@@ -85,6 +90,11 @@ def test_split_check_preconditions(phi50, phi52, phi60):
         rank_split_check(phi50, phi52, 2, 2, 1)  # k + k* = 3 > floor(5/2)
     with pytest.raises(ValueError):
         rank_split_check(phi60, phi50, 2, 2, 1)  # different registers
+
+
+def test_spectrum_check_refuses_different_registers(phi50, phi60):
+    with pytest.raises(ValueError, match="different registers"):
+        rank_spectrum_check(phi50, phi60)
 
 
 def test_split_report_json(phi60, phi62):

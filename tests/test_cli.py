@@ -180,6 +180,12 @@ def test_slocc_ame_pair_reports_supports(capsys):
     assert doc["result"]["verdict"] == "distinguished"
 
 
+def test_slocc_rejects_states_on_different_registers(capsys):
+    status, out = run_cli(capsys, "slocc", "--p", "5", "--pair", "4:2", "6:2")
+    assert status == 2
+    assert out == ""
+
+
 def test_slocc_rejects_deep_hierarchies(capsys):
     status, _ = run_cli(capsys, "slocc", "--p", "7", "--pair", "8:2", "8:2+4:1+2:1")
     assert status == 2

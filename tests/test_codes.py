@@ -98,6 +98,13 @@ def test_enumeration_guard():
         min_distance(code)
 
 
+def test_enumeration_guard_refuses_huge_k_before_forming_q_to_the_k():
+    # 5^7000 has more digits than Python will format, so the guard must not form it
+    code = LinearCode(MatrixGF(PrimeField(5), np.ones((7000, 1), dtype=np.int64)))
+    with pytest.raises(ResourceLimitError, match="exceeds enumeration guard"):
+        min_distance(code)
+
+
 # ---------------------------------------------------------------------------
 # minimum distance
 # ---------------------------------------------------------------------------

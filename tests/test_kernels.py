@@ -1,9 +1,36 @@
 import numpy as np
+import pytest
+from hypothesis import given, strategies as st
 
 from kunigraph import _kernels
 from kunigraph.codes import mds_code
 from kunigraph.field import PrimeField
 from kunigraph.graph import HierarchySpec, bipartite_adjacency, hierarchy_adjacency
+
+
+def _full_sweep(gamma, q, chunk=1 << 14):
+    """Reference: every nonzero w in base-q index order; ties keep the first."""
+    g = np.ascontiguousarray(gamma, dtype=np.int64)
+    n = g.shape[0]
+    total = q**n
+    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    best = n + 1
+    best_idx = -1
+    for start in range(1, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        w = (idx[:, None] // powers[None, :]) % q
+        z = (w @ g) % q  # gamma is symmetric, so w @ g == (g @ w^T)^T
+        weights = np.count_nonzero((w != 0) | (z != 0), axis=1)
+        m = int(weights.argmin())
+        if int(weights[m]) < best:
+            best = int(weights[m])
+            best_idx = int(idx[m])
+    return best, best_idx
+
+
+def _random_gamma(rng, p, n):
+    upper = np.triu(rng.integers(0, p, size=(n, n)), k=1)
+    return upper + upper.T
 
 
 def corpus():
@@ -34,3 +61,47 @@ def test_witness_index_is_the_first_minimum():
     # nonzero index (w = (0, 1)) is the witness
     gamma = np.array([[0, 4], [4, 0]], dtype=np.int64)
     assert _kernels.min_support_sweep(gamma, 5) == (2, 1)
+
+
+def test_a_tie_at_a_later_level_can_hold_the_witness():
+    # w = (0, 1, 0, 0) already has weight 2, but the witness is w = (0, 0, 1, 1),
+    # of support 2 and smaller index, so the sweep must finish level 2
+    gamma = np.array([[0, 2, 1, 2], [2, 0, 0, 0], [1, 0, 0, 2], [2, 0, 2, 0]])
+    assert _kernels.min_support_sweep(gamma, 3) == _full_sweep(gamma, 3) == (2, 4)
+
+
+@st.composite
+def symmetric_gammas(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n_max = {2: 15, 3: 9, 5: 6, 7: 5}[p]  # q^n <= 4 * 10^4
+    n = draw(st.integers(1, n_max))
+    pairs = n * (n - 1) // 2
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=pairs, max_size=pairs))
+    kept = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
+    upper = np.zeros((n, n), dtype=np.int64)
+    upper[np.triu_indices(n, k=1)] = [e if keep else 0 for e, keep in zip(entries, kept)]
+    return upper + upper.T, p
+
+
+@given(symmetric_gammas())
+def test_level_sweep_matches_the_full_sweep(case):
+    gamma, q = case
+    assert _kernels.min_support_sweep(gamma, q) == _full_sweep(gamma, q)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+def test_level_sweep_matches_the_full_sweep_at_any_chunk(chunk):
+    rng = np.random.default_rng(4)
+    cases = [(np.zeros((1, 1), dtype=np.int64), q) for q in (2, 3, 7)]
+    cases += [(gamma, q) for gamma, q in corpus()]
+    cases += [(_random_gamma(rng, p, n), p) for p, n in ((2, 9), (3, 6), (7, 5), (13, 3))]
+    for gamma, q in cases:
+        assert _kernels.min_support_sweep(gamma, q, chunk=chunk) == _full_sweep(gamma, q)
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_level_sweep_matches_the_full_sweep_on_large_qubit_graphs(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        gamma = _random_gamma(rng, 2, n)
+        assert _kernels.min_support_sweep(gamma, 2) == _full_sweep(gamma, 2)

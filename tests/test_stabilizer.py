@@ -137,6 +137,13 @@ def test_sweep_guard(f5):
         uniformity_index(big)
 
 
+def test_sweep_guard_refuses_huge_n_before_forming_q_to_the_n():
+    # 1000003^800 has more digits than Python will format, so the guard must not form it
+    big = Adjacency(MatrixGF.zeros(PrimeField(1_000_003), 800, 800))
+    with pytest.raises(ResourceLimitError, match="exceeds sweep guard"):
+        uniformity_index(big)
+
+
 # ---------------------------------------------------------------------------
 # the free-block guarantee
 # ---------------------------------------------------------------------------
