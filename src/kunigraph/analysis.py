@@ -25,20 +25,6 @@ class RankSpectrum:
     q: int
     by_subset: dict[tuple[int, ...], int]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RankSpectrum)
-            and (other.n, other.q) == (self.n, self.q)
-            and other.by_subset == self.by_subset
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "ranks": {",".join(map(str, s)): r for s, r in sorted(self.by_subset.items())},
-        }
-
 
 @dataclass(frozen=True)
 class SloccReport:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import ame_support_check, rank_spectrum_check, rank_split_check
-from .codes import dual_code, mds_code, min_distance
+from .codes import dual_code, min_distance
 from .dense import (
     StateVector,
     graph_state,
@@ -36,7 +36,8 @@ from .graph import (
     HierarchySpec,
     export_dot,
     general_adjacency,
-    hierarchy_adjacency,
+    level_codes,
+    nested_adjacencies,
     random_b_matrix,
 )
 from .field import PrimeField
@@ -94,30 +95,29 @@ def _resolve_spec(args) -> HierarchySpec:
     return HierarchySpec(field, ((args.n, args.k),))
 
 
-def _adjacency_for(spec: HierarchySpec, b_mode: str, seed: int, gamma=None) -> Adjacency:
+def _adjacency_for(codes, b_mode: str, seed: int) -> Adjacency:
+    """The levels' nested blocks, or level 0 with a seeded random B block."""
     if b_mode == "zero":
-        return hierarchy_adjacency(spec, gamma=gamma)
-    if b_mode == "random":
-        if len(spec.levels) != 1:
-            raise ValueError("--b-mode random applies to single-level builds only")
-        n, k = spec.levels[0]
-        code = mds_code(spec.field, n, k, gamma=gamma)
-        rng = np.random.default_rng(seed)
-        return general_adjacency(code, random_b_matrix(spec.field, n - k, rng))
-    raise ValueError(f"unknown b-mode {b_mode!r}")
+        return nested_adjacencies(codes)[-1]
+    if len(codes) != 1:
+        raise ValueError("--b-mode random applies to single-level builds only")
+    code = codes[0]
+    rng = np.random.default_rng(seed)
+    return general_adjacency(code, random_b_matrix(code.field, code.n - code.k, rng))
 
 
-def _state_for(spec: HierarchySpec, gamma=None) -> tuple[StateVector, str]:
-    """Dense state plus a label for the construction form used."""
-    if len(spec.levels) == 1:
-        n, k = spec.levels[0]
-        return state_from_code(mds_code(spec.field, n, k, gamma=gamma)), "code_superposition"
-    if len(spec.levels) == 2:
-        (n, k), (ns, ks) = spec.levels
-        code = mds_code(spec.field, n, k, gamma=gamma)
-        sub = mds_code(spec.field, ns, ks, gamma=gamma)
-        return hierarchy_state_from_codes(code, sub), "hierarchy_operator"
-    return graph_state(hierarchy_adjacency(spec, gamma=gamma)), "graph"
+def _state_for(codes, adj: Adjacency | None = None) -> tuple[StateVector, str]:
+    """Dense state plus a label for the construction form used.
+
+    codes are the levels the state nests, or () when adj carries a random
+    B block; one or two levels are built from the codes, anything else
+    from adj.
+    """
+    if len(codes) == 1:
+        return state_from_code(codes[0]), "code_superposition"
+    if len(codes) == 2:
+        return hierarchy_state_from_codes(*codes), "hierarchy_operator"
+    return graph_state(adj), "graph"
 
 
 def _write(path: Path, text: str) -> None:
@@ -126,10 +126,14 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_build(args) -> tuple[dict, int]:
+    if args.with_state and not args.out:
+        raise ValueError("--with-state writes state.json and needs --out")
+    if args.sparse_state and not args.with_state:
+        raise ValueError("--sparse-state applies only with --with-state")
     spec = _resolve_spec(args)
-    n0, k0 = spec.levels[0]
-    code = mds_code(spec.field, n0, k0, gamma=args.gamma)
-    adj = _adjacency_for(spec, args.b_mode, args.seed, gamma=args.gamma)
+    codes = level_codes(spec, gamma=args.gamma)
+    code = codes[0]
+    adj = _adjacency_for(codes, args.b_mode, args.seed)
     result: dict = {
         "levels": list(list(lv) for lv in spec.levels),
         "code": code.to_json(),
@@ -146,10 +150,7 @@ def cmd_build(args) -> tuple[dict, int]:
         _write(out / "graph.dot", export_dot(adj))
         written = ["code.json", "adjacency.json", "graph.dot"]
         if args.with_state:
-            if args.b_mode == "random":
-                state, form = graph_state(adj), "graph"
-            else:
-                state, form = _state_for(spec, gamma=args.gamma)
+            state, form = _state_for(codes if args.b_mode == "zero" else (), adj)
             _write(
                 out / "state.json",
                 json.dumps(state.to_json(sparse=args.sparse_state), indent=2, sort_keys=True)
@@ -162,10 +163,14 @@ def cmd_build(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    if args.random_b < 0:
+        raise ValueError(f"--random-b needs a trial count >= 0, got {args.random_b}")
     spec = _resolve_spec(args)
-    n0, k0 = spec.levels[0]
-    code = mds_code(spec.field, n0, k0, gamma=args.gamma)
-    adj = _adjacency_for(spec, args.b_mode, args.seed, gamma=args.gamma)
+    if args.random_b and len(spec.levels) != 1:
+        raise ValueError("--random-b applies to single-level builds only")
+    codes = level_codes(spec, gamma=args.gamma)
+    code = codes[0]
+    adj = _adjacency_for(codes, args.b_mode, args.seed)
     methods = ("structural", "stabilizer", "dense") if args.method == "all" else (args.method,)
     result: dict = {"n": adj.n, "p": spec.field.p}
     ks = {}
@@ -189,12 +194,10 @@ def cmd_verify(args) -> tuple[dict, int]:
     status = EXIT_OK if agree and reported else EXIT_NEGATIVE
 
     if args.random_b:
-        if len(spec.levels) != 1:
-            raise ValueError("--random-b applies to single-level builds only")
         rng = np.random.default_rng(args.seed)
         failures = []
         for trial in range(args.random_b):
-            b = random_b_matrix(spec.field, n0 - k0, rng)
+            b = random_b_matrix(code.field, code.n - code.k, rng)
             if not verify_general_uniformity(code, b):
                 failures.append(trial)
         result["random_b"] = {
@@ -212,9 +215,9 @@ def cmd_hierarchy(args) -> tuple[dict, int]:
     rows = []
     prev_edges = -1
     monotone = True
-    for depth in range(1, len(spec.levels) + 1):
-        sub = HierarchySpec(spec.field, spec.levels[:depth])
-        adj = hierarchy_adjacency(sub, gamma=args.gamma)
+    prefixes = nested_adjacencies(level_codes(spec, gamma=args.gamma))
+    for depth, adj in enumerate(prefixes, start=1):
+        levels = spec.levels[:depth]
         weight, _ = minimum_support(adj)
         edges = adj.edge_count()
         if edges <= prev_edges:
@@ -222,14 +225,14 @@ def cmd_hierarchy(args) -> tuple[dict, int]:
         prev_edges = edges
         rows.append(
             {
-                "levels": list(list(lv) for lv in sub.levels),
+                "levels": [list(lv) for lv in levels],
                 "edge_count": edges,
                 "k_stabilizer": weight - 1,
             }
         )
         if args.out:
             out = Path(args.out)
-            tag = sub.label().replace(":", "-").replace("+", "_")
+            tag = "_".join(f"{n}-{k}" for n, k in levels)
             _write(
                 out / f"adjacency_{tag}.json",
                 json.dumps(adj.to_json(), indent=2, sort_keys=True) + "\n",
@@ -244,8 +247,8 @@ def cmd_slocc(args) -> tuple[dict, int]:
     hier_spec = HierarchySpec.parse(field, args.pair[1])
     if len(base_spec.levels) > 2 or len(hier_spec.levels) > 2:
         raise ValueError("slocc comparisons support at most two levels per state")
-    base_state, base_form = _state_for(base_spec, gamma=args.gamma)
-    hier_state, hier_form = _state_for(hier_spec, gamma=args.gamma)
+    base_state, base_form = _state_for(level_codes(base_spec, gamma=args.gamma))
+    hier_state, hier_form = _state_for(level_codes(hier_spec, gamma=args.gamma))
     labels = (base_spec.label(), hier_spec.label())
     n = base_state.n
     reports = []
@@ -300,6 +303,9 @@ def _add_construction_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=int, help="code dimension (single-level shorthand)")
     sub.add_argument("--levels", type=str, help='hierarchy levels, e.g. "6:2,2:1"')
     sub.add_argument("--gamma", type=int, help="primitive element for the Singleton array")
+
+
+def _add_random_block_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--b-mode",
         choices=("zero", "random"),
@@ -319,12 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = subs.add_parser("build", help="emit code/adjacency/DOT/state artifacts")
     _add_construction_flags(p_build)
+    _add_random_block_flags(p_build)
     p_build.add_argument("--out", type=str, help="directory for artifact files")
     p_build.add_argument("--with-state", action="store_true", help="also write state.json")
     p_build.add_argument("--sparse-state", action="store_true", help="sparse state encoding")
 
     p_verify = subs.add_parser("verify", help="check uniformity by independent methods")
     _add_construction_flags(p_verify)
+    _add_random_block_flags(p_verify)
     p_verify.add_argument(
         "--method",
         choices=("structural", "stabilizer", "dense", "all"),

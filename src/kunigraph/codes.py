@@ -73,13 +73,6 @@ class LinearCode:
         powers = q ** np.arange(self.k - 1, -1, -1, dtype=np.int64)
         return (idx[:, None] // powers[None, :]) % q
 
-    def encode(self, message) -> np.ndarray:
-        """Codeword (x, xA) for a length-k message vector x."""
-        x = np.asarray(message, dtype=np.int64) % self.field.p
-        if x.shape != (self.k,):
-            raise ValueError(f"message must have length {self.k}")
-        return (x @ self.generator.entries) % self.field.p
-
     def to_json(self) -> dict:
         return {
             "p": self.field.p,
@@ -138,12 +131,13 @@ def dual_code(code: LinearCode) -> LinearCode:
     h = np.concatenate(
         [(-code.a_matrix.entries.T) % field.p, np.eye(m, dtype=np.int64)], axis=1
     )
-    lead = MatrixGF(field, h[:, :m])
-    if lead.det() == 0:
+    try:
+        lead_inv = MatrixGF(field, h[:, :m]).inverse()
+    except ValueError:
         raise ValueError(
             "dual generator cannot be put in standard form without a column permutation"
-        )
-    reduced = (lead.inverse().entries @ h) % field.p
+        ) from None
+    reduced = (lead_inv.entries @ h) % field.p
     return LinearCode(MatrixGF(field, reduced[:, m:]))
 
 

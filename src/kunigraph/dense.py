@@ -76,8 +76,8 @@ class StateVector:
             raise ValueError("states live on different registers")
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)))
 
-    def equals_up_to_phase(self, other: "StateVector", tol: float = OVERLAP_TOL) -> bool:
-        return self.overlap(other) >= 1.0 - tol
+    def equals_up_to_phase(self, other: "StateVector") -> bool:
+        return self.overlap(other) >= 1.0 - OVERLAP_TOL
 
     def to_json(self, sparse: bool = False) -> dict:
         if sparse:
@@ -292,36 +292,36 @@ def reduced_density(state: StateVector, subset) -> np.ndarray:
     return mat @ mat.conj().T
 
 
-def is_maximally_mixed(rho: np.ndarray, tol: float = MIX_TOL) -> bool:
+def is_maximally_mixed(rho: np.ndarray) -> bool:
     d = rho.shape[0]
-    return bool(np.max(np.abs(rho - np.eye(d) / d)) < tol)
+    return bool(np.max(np.abs(rho - np.eye(d) / d)) < MIX_TOL)
 
 
-def uniformity_by_oracle(state: StateVector, tol: float = MIX_TOL) -> int:
+def uniformity_by_oracle(state: StateVector) -> int:
     """Largest k with every reduction of size <= k maximally mixed."""
     for size in range(1, state.n // 2 + 1):
         for subset in combinations(range(1, state.n + 1), size):
-            if not is_maximally_mixed(reduced_density(state, subset), tol=tol):
+            if not is_maximally_mixed(reduced_density(state, subset)):
                 return size - 1
     return state.n // 2
 
 
-def rank_of_reduction(state: StateVector, subset, tol: float = RANK_TOL) -> int:
-    """Numerical rank of rho_S: singular values above tol * largest."""
+def rank_of_reduction(state: StateVector, subset) -> int:
+    """Numerical rank of rho_S: singular values above RANK_TOL * largest."""
     rho = reduced_density(state, subset)
     s = np.linalg.svd(rho, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
-def support_count(state: StateVector, tol: float = SUPPORT_TOL) -> int:
-    """Number of computational-basis amplitudes with modulus above tol."""
-    return int(np.count_nonzero(np.abs(state.amplitudes) > tol))
+def support_count(state: StateVector) -> int:
+    """Number of computational-basis amplitudes with modulus above SUPPORT_TOL."""
+    return int(np.count_nonzero(np.abs(state.amplitudes) > SUPPORT_TOL))
 
 
-def eigencheck(state: StateVector, x_exp, z_exp, tol: float = NORM_TOL) -> bool:
-    """True iff prod_i X_i^{x[i]} Z_i^{z[i]} fixes the state within tol."""
+def eigencheck(state: StateVector, x_exp, z_exp) -> bool:
+    """True iff prod_i X_i^{x[i]} Z_i^{z[i]} fixes the state within NORM_TOL."""
     out = state
     for i, e in enumerate(np.asarray(z_exp, dtype=np.int64)):
         if e % state.q:
@@ -329,4 +329,4 @@ def eigencheck(state: StateVector, x_exp, z_exp, tol: float = NORM_TOL) -> bool:
     for i, e in enumerate(np.asarray(x_exp, dtype=np.int64)):
         if e % state.q:
             out = apply_x(out, i + 1, int(e))
-    return bool(np.max(np.abs(out.amplitudes - state.amplitudes)) <= tol)
+    return bool(np.max(np.abs(out.amplitudes - state.amplitudes)) <= NORM_TOL)

@@ -116,15 +116,3 @@ class PrimeField:
                 return False
         return True
 
-
-def find_primitive(field: PrimeField) -> int:
-    """Smallest element of GF(p) with multiplicative order p-1.
-
-    For p = 2 the only nonzero element, 1, is returned.
-    """
-    if field.p == 2:
-        return 1
-    for g in range(2, field.p):
-        if field.is_primitive(g):
-            return g
-    raise RuntimeError("no primitive element found")  # unreachable for prime p

@@ -3,16 +3,19 @@
 Builders for the complete-bipartite family (straight from a code), the
 generalized family with a free lower-right block, and the hierarchical
 family obtained by recursively embedding bipartite blocks into the
-remaining zero corner.
+remaining zero corner. level_codes is the one place where a level
+(n, k) becomes its MDS code; every hierarchy adjacency is folded from
+those codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .codes import LinearCode, mds_a_matrix
+from .codes import LinearCode, mds_code
 from .field import PrimeField
 from .matrix import MatrixGF, json_field_and_grid
 
@@ -169,20 +172,37 @@ class HierarchySpec:
         return "+".join(f"{n}:{k}" for n, k in self.levels)
 
 
-def hierarchy_adjacency(spec: HierarchySpec, gamma=None) -> Adjacency:
-    """Adjacency of the hierarchy state: bipartite blocks nested bottom-right.
+def level_codes(spec: HierarchySpec, gamma=None) -> tuple[LinearCode, ...]:
+    """The [n_l, k_l] MDS code of every level, level 0 first."""
+    return tuple(mds_code(spec.field, nl, kl, gamma=gamma) for nl, kl in spec.levels)
 
-    With a single level this is exactly the bipartite adjacency of the
-    level-0 code; each later level writes its own bipartite block into
-    the last n_l rows and columns, which are zero up to that point.
+
+def _embed_level(adj: Adjacency, code: LinearCode) -> Adjacency:
+    """adj with code's bipartite block written into its last code.n rows and columns."""
+    start = adj.n - code.n
+    g = np.array(adj.gamma.entries)
+    if code.field != adj.field or start < 0 or np.any(g[start:, start:]):
+        raise ValueError(
+            f"a {code.n}-qudit block over GF({code.field.p}) does not fit in the "
+            "remaining zero corner"
+        )
+    g[start:, start:] = _bipartite_block(code.field, code.a_matrix)
+    return Adjacency(MatrixGF(adj.field, g))
+
+
+def nested_adjacencies(codes) -> list[Adjacency]:
+    """Adjacency of every hierarchy prefix: codes[0], then codes[:2], ...
+
+    The first is the bipartite adjacency of codes[0]; each later level
+    writes its own bipartite block into the last n_l rows and columns,
+    which must be zero up to that point.
     """
-    field = spec.field
-    n0 = spec.levels[0][0]
-    blocks = [mds_a_matrix(field, kl, nl - kl, gamma=gamma) for nl, kl in spec.levels]
-    g = _bipartite_block(field, blocks[0])
-    for (nl, _), a in zip(spec.levels[1:], blocks[1:]):
-        g[n0 - nl :, n0 - nl :] = _bipartite_block(field, a)
-    return Adjacency(MatrixGF(field, g))
+    return list(accumulate(codes[1:], _embed_level, initial=bipartite_adjacency(codes[0])))
+
+
+def hierarchy_adjacency(spec: HierarchySpec, gamma=None) -> Adjacency:
+    """Adjacency of the hierarchy state: bipartite blocks nested bottom-right."""
+    return nested_adjacencies(level_codes(spec, gamma=gamma))[-1]
 
 
 def export_dot(adj: Adjacency) -> str:

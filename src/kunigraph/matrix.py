@@ -7,7 +7,6 @@ array; all elimination is exact integer work modulo p.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,10 +38,6 @@ class MatrixGF:
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "MatrixGF":
         return cls(field, np.zeros((rows, cols), dtype=np.int64))
 
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "MatrixGF":
-        return cls(field, np.eye(n, dtype=np.int64))
-
     # -- basics --------------------------------------------------------------
 
     @property
@@ -66,104 +61,19 @@ class MatrixGF:
     def __repr__(self) -> str:
         return f"MatrixGF(p={self.field.p}, {self.entries.tolist()})"
 
-    def transpose(self) -> "MatrixGF":
-        return MatrixGF(self.field, self.entries.T)
-
-    def __neg__(self) -> "MatrixGF":
-        return MatrixGF(self.field, -self.entries)
-
-    def __add__(self, other: "MatrixGF") -> "MatrixGF":
-        self._check_same_field(other)
-        if other.shape != self.shape:
-            raise ValueError("shape mismatch")
-        return MatrixGF(self.field, self.entries + other.entries)
-
-    def __sub__(self, other: "MatrixGF") -> "MatrixGF":
-        return self + (-other)
-
-    def __matmul__(self, other: "MatrixGF") -> "MatrixGF":
-        self._check_same_field(other)
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        return MatrixGF(self.field, (self.entries @ other.entries) % self.field.p)
-
-    def _check_same_field(self, other: "MatrixGF") -> None:
-        if not isinstance(other, MatrixGF) or other.field != self.field:
-            raise ValueError("matrices belong to different fields")
-
-    # -- submatrices ----------------------------------------------------------
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "MatrixGF":
-        """The minor on the given rows and columns, in the given order.
-
-        Indices must be in range and free of duplicates; empty selections
-        are rejected.
-        """
-        row_idx = list(row_idx)
-        col_idx = list(col_idx)
-        if not row_idx or not col_idx:
-            raise ValueError("empty row or column selection")
-        if len(set(row_idx)) != len(row_idx) or len(set(col_idx)) != len(col_idx):
-            raise ValueError("duplicate indices in selection")
-        for r in row_idx:
-            if not 0 <= r < self.rows:
-                raise IndexError(f"row index {r} out of range")
-        for c in col_idx:
-            if not 0 <= c < self.cols:
-                raise IndexError(f"column index {c} out of range")
-        return MatrixGF(self.field, self.entries[np.ix_(row_idx, col_idx)])
-
     # -- elimination ------------------------------------------------------------
-
-    def _eliminate(self) -> tuple[np.ndarray, int, int]:
-        """Row echelon form via exact Gaussian elimination.
-
-        Returns (echelon array, rank, sign) where sign flips with each row
-        swap (used by det).
-        """
-        p = self.field.p
-        a = np.array(self.entries, dtype=np.int64)
-        m, n = a.shape
-        rank = 0
-        sign = 1
-        for col in range(n):
-            if rank == m:
-                break
-            pivot_rows = np.nonzero(a[rank:, col])[0]
-            if pivot_rows.size == 0:
-                continue
-            pr = rank + int(pivot_rows[0])
-            if pr != rank:
-                a[[rank, pr]] = a[[pr, rank]]
-                sign = -sign
-            inv_piv = self.field.inv(int(a[rank, col]))
-            below = a[rank + 1 :, col]
-            nz = np.nonzero(below)[0]
-            if nz.size:
-                factors = (below[nz] * inv_piv) % p
-                a[rank + 1 + nz] = (a[rank + 1 + nz] - factors[:, None] * a[rank]) % p
-            rank += 1
-        return a, rank, sign
 
     def rank(self) -> int:
         """Rank over GF(p)."""
         if self.rows == 0 or self.cols == 0:
             return 0
-        return self._eliminate()[1]
+        return _eliminate(np.array(self.entries), self.field)[1]
 
     def det(self) -> int:
         """Determinant over GF(p); matrix must be square."""
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        if self.rows == 0:
-            return 1 % self.field.p
-        ech, rank, sign = self._eliminate()
-        if rank < self.rows:
-            return 0
-        d = 1
-        for i in range(self.rows):
-            d = self.field.mul(d, int(ech[i, i]))
-        return d if sign == 1 else self.field.neg(d)
+        return _det(np.array(self.entries), self.field)
 
     def inverse(self) -> "MatrixGF":
         """Inverse of a square nonsingular matrix."""
@@ -194,13 +104,14 @@ class MatrixGF:
         at the scale this library targets are at most a few rows wide, so
         the combinatorial sweep is cheap.
         """
-        if np.any(self.entries == 0):
+        ent = self.entries
+        if np.any(ent == 0):
             return False  # 1x1 submatrices
         tmax = min(self.rows, self.cols)
         for t in range(2, tmax + 1):
             for rsel in combinations(range(self.rows), t):
                 for csel in combinations(range(self.cols), t):
-                    if self.submatrix(rsel, csel).det() == 0:
+                    if _det(ent[np.ix_(rsel, csel)], self.field) == 0:
                         return False
         return True
 
@@ -225,6 +136,51 @@ class MatrixGF:
             raise ValueError("entries shape disagrees with declared rows/cols")
         return m
 
+
+
+def _eliminate(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, int, int]:
+    """Row echelon form via exact Gaussian elimination, in place.
+
+    a is an int64 array of canonical representatives that the caller
+    gives up. Returns (echelon array, rank, sign) where sign flips with
+    each row swap (used by det).
+    """
+    p = field.p
+    m, n = a.shape
+    rank = 0
+    sign = 1
+    for col in range(n):
+        if rank == m:
+            break
+        pivot_rows = np.nonzero(a[rank:, col])[0]
+        if pivot_rows.size == 0:
+            continue
+        pr = rank + int(pivot_rows[0])
+        if pr != rank:
+            a[[rank, pr]] = a[[pr, rank]]
+            sign = -sign
+        inv_piv = field.inv(int(a[rank, col]))
+        below = a[rank + 1 :, col]
+        nz = np.nonzero(below)[0]
+        if nz.size:
+            factors = (below[nz] * inv_piv) % p
+            a[rank + 1 + nz] = (a[rank + 1 + nz] - factors[:, None] * a[rank]) % p
+        rank += 1
+    return a, rank, sign
+
+
+def _det(a: np.ndarray, field: PrimeField) -> int:
+    """Determinant of a square array that the caller gives up (see _eliminate)."""
+    n = a.shape[0]
+    if n == 0:
+        return 1 % field.p
+    ech, rank, sign = _eliminate(a, field)
+    if rank < n:
+        return 0
+    d = 1
+    for i in range(n):
+        d = d * int(ech[i, i]) % field.p
+    return d if sign == 1 else -d % field.p
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -256,10 +212,3 @@ def json_field_and_grid(payload, grid_key: str, *count_keys: str) -> tuple[Prime
                 raise ValueError(f"entry {value!r} is not an integer in [0, {field.p})")
     return field, grid
 
-
-def combine_rows(m: MatrixGF, coeffs: Iterable[int]) -> np.ndarray:
-    """The linear combination of m's rows with the given coefficients."""
-    c = np.asarray(list(coeffs), dtype=np.int64)
-    if c.shape != (m.rows,):
-        raise ValueError("coefficient vector length must equal row count")
-    return (c @ m.entries) % m.field.p

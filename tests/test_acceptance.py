@@ -34,7 +34,7 @@ from kunigraph.graph import (
     hierarchy_adjacency,
     random_b_matrix,
 )
-from kunigraph.matrix import MatrixGF, combine_rows
+from kunigraph.matrix import MatrixGF
 from kunigraph.stabilizer import graph_generators, uniformity_index, verify_general_uniformity
 
 
@@ -108,8 +108,8 @@ def test_criterion_4_hierarchy_states_match_graph_states(phi62, phi63, adj62, ad
 
 
 def test_criterion_5_split_subset_ranks_distinguish_the_pair(phi60, phi62):
-    r_base = rank_of_reduction(phi60, [1, 2, 5], tol=1e-8)
-    r_hier = rank_of_reduction(phi62, [1, 2, 5], tol=1e-8)
+    r_base = rank_of_reduction(phi60, [1, 2, 5])
+    r_hier = rank_of_reduction(phi62, [1, 2, 5])
     assert r_base <= 25
     assert r_hier == 125
     report = rank_split_check(phi60, phi62, 2, 2, 1, labels=("6:2", "6:2+2:1"))
@@ -145,7 +145,8 @@ def test_criterion_7_row_combination_zero_bound_over_all_rectangles():
                             t = sum(1 for c in coeffs if c)
                             if t == 0:
                                 continue
-                            zeros = int(np.count_nonzero(combine_rows(a, coeffs) == 0))
+                            combo = (np.array(coeffs) @ a.entries) % p
+                            zeros = int(np.count_nonzero(combo == 0))
                             assert zeros <= t - 1, (p, r0, c0, k, m, coeffs)
                         checked += 1
     _report(7, f"{checked} rectangles, zero counterexamples")
@@ -170,7 +171,7 @@ def test_criterion_8_every_generator_fixes_its_graph_state(f5):
     for adj in corpus:
         g = graph_state(adj)
         for row in graph_generators(adj):
-            assert eigencheck(g, row[: adj.n], row[adj.n :], tol=1e-9), adj
+            assert eigencheck(g, row[: adj.n], row[adj.n :]), adj
             checked += 1
     _report(8, f"{checked} generator eigenchecks within 1e-9")
 

@@ -42,12 +42,12 @@ def test_kuni_reductions_have_full_rank(phi60):
         assert rank == 5 ** len(subset)
 
 
-def test_spectrum_json_and_equality(phi50):
+def test_spectrum_ranks_and_equality(phi50):
     spec = rank_spectrum(phi50)
-    payload = spec.to_json()
-    assert payload["n"] == 5 and payload["q"] == 5
-    assert payload["ranks"]["1,2"] == 25
+    assert (spec.n, spec.q) == (5, 5)
+    assert spec.by_subset[(1, 2)] == 25
     assert spec == rank_spectrum(phi50)
+    assert spec != rank_spectrum(phi50, max_size=1)
 
 
 def test_rank_spectrum_is_lu_invariant(phi50):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from kunigraph import cli
+from kunigraph.matrix import MatrixGF
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +70,22 @@ def test_build_requires_construction_flags(capsys):
     assert status == 2
 
 
+def test_build_refuses_state_without_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    status, out = run_cli(capsys, "build", "--p", "5", "--n", "6", "--k", "2", "--with-state")
+    assert status == 2
+    assert out == "" and not any(tmp_path.iterdir())
+
+
+def test_build_refuses_sparse_state_without_state(tmp_path, capsys):
+    status, out = run_cli(
+        capsys, "build", "--p", "5", "--n", "6", "--k", "2",
+        "--out", str(tmp_path / "a"), "--sparse-state",
+    )
+    assert status == 2
+    assert out == "" and not (tmp_path / "a").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -117,6 +134,27 @@ def test_verify_seeded_random_block_instance(capsys):
     assert doc["result"]["k_stabilizer"] >= 2
 
 
+def test_verify_refuses_negative_random_b(capsys):
+    status, out = run_cli(
+        capsys, "verify", "--p", "5", "--n", "6", "--k", "2", "--random-b", "-5"
+    )
+    assert status == 2
+    assert out == ""
+
+
+def test_verify_refuses_multi_level_random_b_before_verifying(capsys, monkeypatch):
+    def unexpected(adj):
+        raise AssertionError("the sweep ran before the refusal")
+
+    monkeypatch.setattr(cli, "minimum_support", unexpected)
+    status, out = run_cli(
+        capsys, "verify", "--p", "5", "--levels", "6:2,2:1", "--method", "stabilizer",
+        "--random-b", "2",
+    )
+    assert status == 2
+    assert out == ""
+
+
 def test_verify_guard_exit_code(capsys):
     status, _ = run_cli(
         capsys, "verify", "--p", "101", "--n", "102", "--k", "2", "--method", "stabilizer"
@@ -149,6 +187,14 @@ def test_hierarchy_reports_every_prefix(tmp_path, capsys):
     assert (tmp_path / "adjacency_6-2.json").exists()
     assert (tmp_path / "adjacency_6-2_2-1.json").exists()
     assert (tmp_path / "graph_6-2_2-1.dot").exists()
+
+
+@pytest.mark.parametrize("flag", [["--b-mode", "random"], ["--seed", "3"]])
+def test_hierarchy_refuses_random_block_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hierarchy", "--p", "5", "--levels", "4:2,2:1", *flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +277,71 @@ def test_export_refuses_inexact_adjacency_json(tmp_path, capsys, payload):
     status, out = run_cli(capsys, "export", "--adjacency", str(path))
     assert status == 2
     assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# one construction per level
+# ---------------------------------------------------------------------------
+
+# one MDS test per level built, one for the structural route, one per
+# general_adjacency call (each random B)
+MDS_TESTS_PER_COMMAND = [
+    pytest.param(
+        ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "stabilizer"], 1,
+        id="verify-stabilizer",
+    ),
+    pytest.param(
+        ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "structural"], 2,
+        id="verify-structural",
+    ),
+    pytest.param(
+        ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "all"], 2,
+        id="verify-all",
+    ),
+    pytest.param(
+        ["verify", "--p", "5", "--levels", "6:2,3:1", "--method", "dense"], 2,
+        id="verify-dense-two-levels",
+    ),
+    pytest.param(
+        ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "stabilizer",
+         "--random-b", "3"], 4,
+        id="verify-random-b-trials",
+    ),
+    pytest.param(
+        ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "stabilizer",
+         "--b-mode", "random"], 2,
+        id="verify-b-mode-random",
+    ),
+    pytest.param(["hierarchy", "--p", "7", "--levels", "7:3,4:2,2:1"], 3, id="hierarchy"),
+    pytest.param(["build", "--p", "5", "--n", "6", "--k", "2"], 1, id="build"),
+    pytest.param(
+        ["build", "--p", "5", "--levels", "6:2,2:1", "--with-state", "--out", "st"], 2,
+        id="build-two-level-state",
+    ),
+    pytest.param(
+        ["build", "--p", "5", "--levels", "6:3,3:1,2:1", "--with-state", "--out", "deep"], 3,
+        id="build-three-level-state",
+    ),
+    pytest.param(["slocc", "--p", "5", "--pair", "6:2", "6:2+2:1"], 3, id="slocc"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", MDS_TESTS_PER_COMMAND)
+def test_each_command_runs_one_mds_test_per_code_it_builds(
+    tmp_path, monkeypatch, capsys, argv, expected
+):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    check = MatrixGF.all_square_submatrices_nonsingular
+
+    def counted(self):
+        calls.append(self.shape)
+        return check(self)
+
+    monkeypatch.setattr(MatrixGF, "all_square_submatrices_nonsingular", counted)
+    status, _ = run_cli(capsys, *argv)
+    assert status == 0
+    assert len(calls) == expected, calls
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
-from kunigraph.field import PrimeField, find_primitive
+from kunigraph.codes import singleton_gamma
+from kunigraph.field import PrimeField
 
 PRIMES_TO_101 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101]
@@ -150,27 +151,6 @@ def test_int_operands_coerce_into_the_field():
 # primitive elements
 # ---------------------------------------------------------------------------
 
-def test_find_primitive_gf2():
-    assert find_primitive(PrimeField(2)) == 1
-
-
-def test_find_primitive_gf5_smallest():
-    f = PrimeField(5)
-    g = find_primitive(f)
-    assert type(g) is int and g == 2
-    assert brute_force_order(5, g) == 4
-    # 3 generates the group as well: 3, 9=4, 27=2, 81=1
-    assert f.is_primitive(3)
-
-
-def test_find_primitive_gf7():
-    f = PrimeField(7)
-    g = find_primitive(f)
-    assert g == 3
-    assert brute_force_order(7, 3) == 6
-    assert not f.is_primitive(2)  # 2^3 = 1 mod 7
-
-
 @pytest.mark.parametrize("p", PRIMES_TO_101)
 def test_orders_divide_group_size_and_primitivity_matches(p):
     f = PrimeField(p)
@@ -183,7 +163,8 @@ def test_orders_divide_group_size_and_primitivity_matches(p):
 @pytest.mark.parametrize("p", PRIMES_TO_101)
 def test_found_primitive_generates_all_nonzero_elements(p):
     f = PrimeField(p)
-    g = find_primitive(f)
+    g = singleton_gamma(f)
+    assert type(g) is int and f.is_primitive(g)
     seen = set()
     x = 1
     for _ in range(p - 1):

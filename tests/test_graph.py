@@ -10,6 +10,8 @@ from kunigraph.graph import (
     export_dot,
     general_adjacency,
     hierarchy_adjacency,
+    level_codes,
+    nested_adjacencies,
     random_b_matrix,
 )
 from kunigraph.matrix import MatrixGF
@@ -187,6 +189,31 @@ def test_edge_counts_grow_with_each_level(f5):
     counts = [hierarchy_adjacency(HierarchySpec(f5, lv)).edge_count() for lv in prefixes]
     assert counts == sorted(set(counts))
     assert counts[1] > counts[0]
+
+
+def test_level_codes_are_the_mds_codes_of_each_level(f5):
+    spec = HierarchySpec(f5, ((6, 2), (3, 1), (2, 1)))
+    codes = level_codes(spec, gamma=3)
+    assert codes == tuple(mds_code(f5, n, k, gamma=3) for n, k in spec.levels)
+
+
+def test_nested_adjacencies_give_every_prefix(f5):
+    prefixes = nested_adjacencies(level_codes(HierarchySpec(f5, ((6, 2), (2, 1)))))
+    assert [adj.gamma.entries.tolist() for adj in prefixes] == [GAMMA_60, GAMMA_62]
+    f7 = PrimeField(7)
+    deep = nested_adjacencies(level_codes(HierarchySpec(f7, ((8, 2), (4, 1), (2, 1)))))
+    assert [adj.edge_count() for adj in deep] == [12, 15, 16]
+    assert deep[-1] == hierarchy_adjacency(HierarchySpec(f7, ((8, 2), (4, 1), (2, 1))))
+
+
+def test_nested_adjacencies_refuse_a_block_outside_the_zero_corner(f5):
+    code62, code42 = mds_code(f5, 6, 2), mds_code(f5, 4, 2)
+    with pytest.raises(ValueError, match="zero corner"):
+        nested_adjacencies((code62, code42, code42))  # corner already filled
+    with pytest.raises(ValueError, match="zero corner"):
+        nested_adjacencies((code42, code62))  # larger than the register
+    with pytest.raises(ValueError, match="zero corner"):
+        nested_adjacencies((code62, mds_code(PrimeField(7), 2, 1)))  # other field
 
 
 def test_hierarchy_spec_validation(f5):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kunigraph.field import PrimeField
-from kunigraph.matrix import MatrixGF, combine_rows
+from kunigraph.matrix import MatrixGF
 
 PAPER_A = [[1, 1, 1, 1], [1, 2, 3, 4]]
 A_3x3 = [[1, 1, 1], [1, 2, 3], [1, 3, 4]]
@@ -44,7 +44,7 @@ def brute_minors_all_nonsingular(entries, p):
 # ---------------------------------------------------------------------------
 
 def test_rank_identity(f5):
-    assert MatrixGF.identity(f5, 3).rank() == 3
+    assert MatrixGF(f5, np.eye(3, dtype=np.int64)).rank() == 3
 
 
 def test_rank_zero_matrix(f5):
@@ -67,7 +67,7 @@ def test_rank_equals_rank_of_transpose():
         for _ in range(20):
             shape = rng.integers(1, 5, size=2)
             m = MatrixGF(f, rng.integers(0, p, size=tuple(shape)))
-            assert m.rank() == m.transpose().rank()
+            assert m.rank() == MatrixGF(f, m.entries.T).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,7 @@ def test_det_requires_square(f5):
 def test_det_small_cases(f5):
     assert MatrixGF(f5, [[1, 1], [1, 2]]).det() == 1
     assert MatrixGF(f5, [[1, 1], [1, 1]]).det() == 0
-    assert MatrixGF.identity(f5, 4).det() == 1
+    assert MatrixGF(f5, np.eye(4, dtype=np.int64)).det() == 1
 
 
 def test_det_matches_permutation_expansion():
@@ -97,52 +97,21 @@ def test_det_matches_permutation_expansion():
 
 def test_inverse_round_trip(f5):
     rng = np.random.default_rng(31)
-    eye = MatrixGF.identity(f5, 3)
+    eye = np.eye(3, dtype=np.int64)
     found = 0
     while found < 10:
         m = MatrixGF(f5, rng.integers(0, 5, size=(3, 3)))
         if m.det() == 0:
             continue
         found += 1
-        assert m @ m.inverse() == eye
-        assert m.inverse() @ m == eye
+        inv = m.inverse().entries
+        assert np.array_equal((m.entries @ inv) % 5, eye)
+        assert np.array_equal((inv @ m.entries) % 5, eye)
 
 
 def test_inverse_of_singular_raises(f5):
     with pytest.raises(ValueError):
         MatrixGF(f5, [[1, 1], [1, 1]]).inverse()
-
-
-# ---------------------------------------------------------------------------
-# submatrix extraction
-# ---------------------------------------------------------------------------
-
-def test_single_entry_submatrix(f5):
-    m = MatrixGF(f5, PAPER_A)
-    assert m.submatrix([0], [0]).entries.tolist() == [[1]]
-    assert m.submatrix([1], [3]).entries.tolist() == [[4]]
-
-
-def test_block_submatrix_of_singleton_rectangle(f5):
-    s = MatrixGF(f5, [[1, 1, 1, 1], [1, 2, 3, 4], [1, 3, 4, 0]])
-    assert s.submatrix([0, 1, 2], [0, 1, 2]).entries.tolist() == A_3x3
-
-
-def test_submatrix_preserves_requested_order(f5):
-    m = MatrixGF(f5, PAPER_A)
-    assert m.submatrix([1, 0], [3, 0]).entries.tolist() == [[4, 1], [1, 1]]
-
-
-def test_submatrix_rejects_bad_selections(f5):
-    m = MatrixGF(f5, PAPER_A)
-    with pytest.raises(ValueError):
-        m.submatrix([], [])
-    with pytest.raises(ValueError):
-        m.submatrix([0, 0], [1])
-    with pytest.raises(IndexError):
-        m.submatrix([0], [9])
-    with pytest.raises(IndexError):
-        m.submatrix([5], [0])
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +155,7 @@ def vanishing_bound_holds(m):
         t = sum(1 for c in coeffs if c)
         if t == 0:
             continue
-        v = combine_rows(m, coeffs)
+        v = (np.array(coeffs) @ m.entries) % p
         if int(np.count_nonzero(v == 0)) > t - 1:
             return False
     return True
@@ -210,25 +179,8 @@ def test_zero_bound_fails_for_singular_block(f5):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic and serialization
+# immutability and serialization
 # ---------------------------------------------------------------------------
-
-def test_matmul_and_addition(f5):
-    a = MatrixGF(f5, [[1, 2], [3, 4]])
-    b = MatrixGF(f5, [[0, 1], [1, 0]])
-    assert (a @ b).entries.tolist() == [[2, 1], [4, 3]]
-    assert (a + b).entries.tolist() == [[1, 3], [4, 4]]
-    assert (-a).entries.tolist() == [[4, 3], [2, 1]]
-
-
-def test_cross_field_operations_rejected(f5):
-    a = MatrixGF(f5, [[1]])
-    b = MatrixGF(PrimeField(7), [[1]])
-    with pytest.raises(ValueError):
-        a @ b
-    with pytest.raises(ValueError):
-        a + b
-
 
 def test_entries_are_read_only(f5):
     m = MatrixGF(f5, PAPER_A)
@@ -268,7 +220,3 @@ def test_json_empty_columns_round_trip(f5):
     m = MatrixGF.zeros(f5, 2, 0)
     assert MatrixGF.from_json(m.to_json()) == m
 
-
-def test_combine_rows_length_check(f5):
-    with pytest.raises(ValueError):
-        combine_rows(MatrixGF(f5, PAPER_A), [1, 2, 3])
