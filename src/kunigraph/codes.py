@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, max_exponent
 from .field import PrimeField
-from .matrix import MatrixGF, json_field_and_grid
+from .matrix import MatrixGF, json_field_and_grid, row_reduce
 
 ENUMERATION_GUARD = 1 << 24  # max q**k codewords enumerated brute force
 
@@ -33,10 +33,6 @@ class LinearCode:
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
-
-    @classmethod
-    def from_entries(cls, field: PrimeField, a_entries) -> "LinearCode":
-        return cls(MatrixGF(field, a_entries))
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}]_{self.field.p})"
@@ -120,9 +116,10 @@ def dual_code(code: LinearCode) -> LinearCode:
     """The [n, n-k] dual code, in standard form.
 
     The dual is generated by H = [-A^T | I_{n-k}], which satisfies
-    G H^T = 0. H is row-reduced back to [I | A'] form; this fails only
-    when the leading (n-k) x (n-k) block of H is singular, in which case
-    no standard form exists without permuting coordinates.
+    G H^T = 0. One row reduction of H to reduced echelon form gives
+    [I | A'] whenever the leading (n-k) x (n-k) block of H is nonsingular;
+    otherwise no standard form exists without permuting coordinates, and
+    this raises ValueError.
     """
     if code.k == code.n:
         raise ValueError("the dual of a full-dimension code is the zero code")
@@ -131,13 +128,11 @@ def dual_code(code: LinearCode) -> LinearCode:
     h = np.concatenate(
         [(-code.a_matrix.entries.T) % field.p, np.eye(m, dtype=np.int64)], axis=1
     )
-    try:
-        lead_inv = MatrixGF(field, h[:, :m]).inverse()
-    except ValueError:
+    reduced = row_reduce(h[None], field)[0][0]
+    if not np.array_equal(reduced[:, :m], np.eye(m, dtype=np.int64)):
         raise ValueError(
             "dual generator cannot be put in standard form without a column permutation"
-        ) from None
-    reduced = (lead_inv.entries @ h) % field.p
+        )
     return LinearCode(MatrixGF(field, reduced[:, m:]))
 
 

@@ -105,19 +105,6 @@ class StateVector:
         return cls(q, n, amp)
 
 
-def basis_state(q: int, n: int, digits) -> StateVector:
-    """|d_1, ..., d_n> as a dense state."""
-    digits = [int(d) % q for d in digits]
-    if len(digits) != n:
-        raise ValueError("need one digit per qudit")
-    idx = 0
-    for d in digits:
-        idx = idx * q + d
-    amp = np.zeros(q**n, dtype=np.complex128)
-    amp[idx] = 1.0
-    return StateVector(q, n, amp)
-
-
 def _digit(q: int, n: int, qudit: int) -> np.ndarray:
     """Digit of each basis index at 1-based qudit position."""
     idx = np.arange(q**n, dtype=np.int64)
@@ -197,20 +184,6 @@ def apply_fourier(state: StateVector, qudit: int, inverse: bool = False) -> Stat
     arr = np.tensordot(f, state.tensor(), axes=([1], [qudit - 1]))
     arr = np.moveaxis(arr, 0, qudit - 1)
     return StateVector(state.q, state.n, np.ascontiguousarray(arr).reshape(-1))
-
-
-def apply_local(state: StateVector, qudit: int, op: str) -> StateVector:
-    """Apply a named local gate: "X", "X^a", "Z", "Z^a", "F", "F_inverse"."""
-    token = op.strip()
-    if token in ("F", "F_inverse", "F_inv"):
-        return apply_fourier(state, qudit, inverse=token != "F")
-    name, _, exp = token.partition("^")
-    power = int(exp) if exp else 1
-    if name == "X":
-        return apply_x(state, qudit, power)
-    if name == "Z":
-        return apply_z(state, qudit, power)
-    raise ValueError(f"unknown local operator {op!r}")
 
 
 def _check_qudit(state: StateVector, qudit: int) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 MAX_MODULUS = 1 << 20
 
 
@@ -53,7 +55,7 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "p", p)
-        # lazily filled inverse table, index 0 unused
+        # inverse table, filled on first use by inverses()
         object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
@@ -87,12 +89,17 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
+        return int(self.inverses()[a])
+
+    def inverses(self) -> np.ndarray:
+        """Read-only table of inverses indexed by element; entry 0 holds 0."""
         if self._inverse is None:
-            table = [0] * self.p
-            for x in range(1, self.p):
-                table[x] = pow(x, self.p - 2, self.p)
+            table = np.array(
+                [0] + [pow(x, self.p - 2, self.p) for x in range(1, self.p)], dtype=np.int64
+            )
+            table.setflags(write=False)
             object.__setattr__(self, "_inverse", table)
-        return self._inverse[a]
+        return self._inverse
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

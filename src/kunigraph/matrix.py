@@ -13,16 +13,21 @@ import numpy as np
 from .field import PrimeField
 
 
+MINOR_CHUNK = 4096  # t x t minors row-reduced per batch by the MDS test
+
+
 class MatrixGF:
     """An immutable rows x cols matrix with entries in GF(p)."""
 
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: PrimeField, entries):
-        arr = np.asarray(entries, dtype=np.int64)
+        arr = np.asarray(entries)
         if arr.ndim != 2:
             raise ValueError("entries must be a 2-D grid")
-        arr = np.mod(arr, field.p)
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"entries must be integers, got dtype {arr.dtype}")
+        arr = np.mod(arr, field.p).astype(np.int64, copy=False)
         arr.setflags(write=False)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", int(arr.shape[0]))
@@ -44,9 +49,6 @@ class MatrixGF:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def __getitem__(self, idx) -> int:
-        return int(self.entries[idx])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MatrixGF)
@@ -65,54 +67,25 @@ class MatrixGF:
 
     def rank(self) -> int:
         """Rank over GF(p)."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        return _eliminate(np.array(self.entries), self.field)[1]
-
-    def det(self) -> int:
-        """Determinant over GF(p); matrix must be square."""
-        if self.rows != self.cols:
-            raise ValueError("determinant requires a square matrix")
-        return _det(np.array(self.entries), self.field)
-
-    def inverse(self) -> "MatrixGF":
-        """Inverse of a square nonsingular matrix."""
-        if self.rows != self.cols:
-            raise ValueError("inverse requires a square matrix")
-        p = self.field.p
-        n = self.rows
-        a = np.concatenate(
-            [np.array(self.entries, dtype=np.int64), np.eye(n, dtype=np.int64)], axis=1
-        )
-        for col in range(n):
-            pivot_rows = np.nonzero(a[col:, col])[0]
-            if pivot_rows.size == 0:
-                raise ValueError("matrix is singular")
-            pr = col + int(pivot_rows[0])
-            if pr != col:
-                a[[col, pr]] = a[[pr, col]]
-            a[col] = (a[col] * self.field.inv(int(a[col, col]))) % p
-            for r in range(n):
-                if r != col and a[r, col]:
-                    a[r] = (a[r] - a[r, col] * a[col]) % p
-        return MatrixGF(self.field, a[:, n:])
+        return int(row_reduce(np.array(self.entries)[None], self.field)[1][0])
 
     def all_square_submatrices_nonsingular(self) -> bool:
-        """True iff every t x t submatrix has nonzero determinant.
+        """True iff every t x t submatrix has full rank t.
 
-        Exhaustive over all row and column subsets for each size t; matrices
-        at the scale this library targets are at most a few rows wide, so
-        the combinatorial sweep is cheap.
+        Exhaustive over all row and column subsets for each size t; the
+        minors of one size are row-reduced together, MINOR_CHUNK at a time,
+        and the test stops at the first batch holding a singular one.
         """
         ent = self.entries
-        if np.any(ent == 0):
-            return False  # 1x1 submatrices
-        tmax = min(self.rows, self.cols)
-        for t in range(2, tmax + 1):
-            for rsel in combinations(range(self.rows), t):
-                for csel in combinations(range(self.cols), t):
-                    if _det(ent[np.ix_(rsel, csel)], self.field) == 0:
-                        return False
+        for t in range(1, min(self.rows, self.cols) + 1):
+            rsel = np.array(list(combinations(range(self.rows), t)))
+            csel = np.array(list(combinations(range(self.cols), t)))
+            total = len(rsel) * len(csel)
+            for start in range(0, total, MINOR_CHUNK):
+                r, c = np.divmod(np.arange(start, min(start + MINOR_CHUNK, total)), len(csel))
+                minors = ent[rsel[r][:, :, None], csel[c][:, None, :]]
+                if np.any(row_reduce(minors, self.field)[1] < t):
+                    return False
         return True
 
     # -- serialization -------------------------------------------------------------
@@ -137,50 +110,39 @@ class MatrixGF:
         return m
 
 
+def row_reduce(stack: np.ndarray, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every matrix in a (B, r, c) stack, and their ranks.
 
-def _eliminate(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, int, int]:
-    """Row echelon form via exact Gaussian elimination, in place.
-
-    a is an int64 array of canonical representatives that the caller
-    gives up. Returns (echelon array, rank, sign) where sign flips with
-    each row swap (used by det).
+    stack holds int64 canonical representatives and is reduced in place;
+    the caller gives it up. The B matrices are reduced in lockstep, one
+    column at a time: each matrix that has a nonzero entry at or below its
+    next pivot row takes the first such row as its pivot, scales it to 1
+    and clears the column in every other row. Returns (stack, ranks).
     """
     p = field.p
-    m, n = a.shape
-    rank = 0
-    sign = 1
-    for col in range(n):
-        if rank == m:
-            break
-        pivot_rows = np.nonzero(a[rank:, col])[0]
-        if pivot_rows.size == 0:
+    inverses = field.inverses()
+    count, rows, cols = stack.shape
+    ranks = np.zeros(count, dtype=np.int64)
+    row_index = np.arange(rows)
+    for col in range(cols):
+        candidates = (stack[:, :, col] != 0) & (row_index >= ranks[:, None])
+        pivoting = np.nonzero(candidates.any(axis=1))[0]
+        if pivoting.size == 0:
             continue
-        pr = rank + int(pivot_rows[0])
-        if pr != rank:
-            a[[rank, pr]] = a[[pr, rank]]
-            sign = -sign
-        inv_piv = field.inv(int(a[rank, col]))
-        below = a[rank + 1 :, col]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            factors = (below[nz] * inv_piv) % p
-            a[rank + 1 + nz] = (a[rank + 1 + nz] - factors[:, None] * a[rank]) % p
-        rank += 1
-    return a, rank, sign
+        lanes = np.arange(pivoting.size)
+        target = ranks[pivoting]
+        source = candidates[pivoting].argmax(axis=1)
+        pivot = stack[pivoting, source, col:]
+        stack[pivoting, source, col:] = stack[pivoting, target, col:]
+        pivot = pivot * inverses[pivot[:, :1]] % p
+        factors = stack[pivoting, :, col]
+        factors[lanes, target] = 0
+        block = stack[pivoting, :, col:] - factors[:, :, None] * pivot[:, None, :]
+        block[lanes, target] = pivot
+        stack[pivoting, :, col:] = block % p
+        ranks[pivoting] += 1
+    return stack, ranks
 
-
-def _det(a: np.ndarray, field: PrimeField) -> int:
-    """Determinant of a square array that the caller gives up (see _eliminate)."""
-    n = a.shape[0]
-    if n == 0:
-        return 1 % field.p
-    ech, rank, sign = _eliminate(a, field)
-    if rank < n:
-        return 0
-    d = 1
-    for i in range(n):
-        d = d * int(ech[i, i]) % field.p
-    return d if sign == 1 else -d % field.p
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)

@@ -9,6 +9,7 @@ from kunigraph.analysis import (
 )
 from kunigraph.codes import LinearCode
 from kunigraph.dense import apply_fourier, apply_x, apply_z, state_from_code
+from kunigraph.matrix import MatrixGF
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +31,7 @@ def test_62_state_triple_ranks_are_capped_by_message_count(phi60):
 
 
 def test_ghz_every_reduction_has_rank_q(f5):
-    ghz = state_from_code(LinearCode.from_entries(f5, [[1, 1]]))
+    ghz = state_from_code(LinearCode(MatrixGF(f5, [[1, 1]])))
     spec = rank_spectrum(ghz)
     assert set(spec.by_subset.values()) == {5}
 
@@ -127,7 +128,7 @@ def test_support_check_requires_odd_register(phi60, phi62):
 
 
 def test_support_check_requires_ame_inputs(f5, phi50):
-    not_ame = state_from_code(LinearCode.from_entries(f5, [[1, 1, 1, 1]]))  # 1-uniform
+    not_ame = state_from_code(LinearCode(MatrixGF(f5, [[1, 1, 1, 1]])))  # 1-uniform
     with pytest.raises(ValueError):
         ame_support_check(not_ame, phi50)
 

@@ -39,7 +39,7 @@ def brute_min_weight(code):
 # ---------------------------------------------------------------------------
 
 def test_code_shape_and_generator(f5):
-    code = LinearCode.from_entries(f5, [[1, 1, 1, 1], [1, 2, 3, 4]])
+    code = LinearCode(MatrixGF(f5, [[1, 1, 1, 1], [1, 2, 3, 4]]))
     assert (code.n, code.k) == (6, 2)
     assert code.generator.entries.tolist() == [
         [1, 0, 1, 1, 1, 1],
@@ -57,13 +57,13 @@ def test_code_requires_positive_dimension(f5):
 # ---------------------------------------------------------------------------
 
 def test_repetition_pairs(f5):
-    code = LinearCode.from_entries(f5, [[1]])
+    code = LinearCode(MatrixGF(f5, [[1]]))
     words = enumerate_codewords(code)
     assert words.tolist() == [[a, a] for a in range(5)]
 
 
 def test_repetition_triples(f5):
-    code = LinearCode.from_entries(f5, [[1, 1]])
+    code = LinearCode(MatrixGF(f5, [[1, 1]]))
     words = enumerate_codewords(code)
     assert words.tolist() == [[a, a, a] for a in range(5)]
 
@@ -114,7 +114,7 @@ def test_min_distance_mds_62(f5):
 
 
 def test_min_distance_repetition(f5):
-    assert min_distance(LinearCode.from_entries(f5, [[1, 1]])) == 3
+    assert min_distance(LinearCode(MatrixGF(f5, [[1, 1]]))) == 3
 
 
 def test_min_distance_full_dimension_code(f5):
@@ -138,7 +138,7 @@ def test_min_distance_matches_brute_force():
 # ---------------------------------------------------------------------------
 
 def test_dual_of_repetition_pair(f5):
-    code = LinearCode.from_entries(f5, [[1]])
+    code = LinearCode(MatrixGF(f5, [[1]]))
     dual = dual_code(code)
     assert (dual.n, dual.k) == (2, 1)
     # standard form of the row [-1, 1] = [4, 1], rescaled by 4
@@ -161,7 +161,7 @@ def test_dual_of_mds_62_is_orthogonal_everywhere(f5):
 
 def test_gf2_repetition_pair_is_self_dual():
     f2 = PrimeField(2)
-    code = LinearCode.from_entries(f2, [[1]])
+    code = LinearCode(MatrixGF(f2, [[1]]))
     assert dual_code(code) == code
 
 
@@ -177,7 +177,7 @@ def test_dual_of_full_dimension_code_rejected(f5):
 
 def test_dual_without_standard_form_is_rejected(f5):
     # -A^T singular, so [-A^T | I] cannot pivot on its leading block
-    code = LinearCode.from_entries(f5, [[1, 1], [1, 1]])
+    code = LinearCode(MatrixGF(f5, [[1, 1], [1, 1]]))
     with pytest.raises(ValueError, match="standard form without a column permutation"):
         dual_code(code)
 

@@ -8,10 +8,8 @@ from kunigraph.dense import (
     StateVector,
     apply_O,
     apply_fourier,
-    apply_local,
     apply_x,
     apply_z,
-    basis_state,
     code_to_graph_fourier_positions,
     eigencheck,
     graph_state,
@@ -54,7 +52,7 @@ def test_size_guard_refuses_huge_n_before_forming_q_to_the_n():
 
 
 def test_json_round_trip_dense_and_sparse(f5):
-    sv = state_from_code(LinearCode.from_entries(f5, [[1]]))
+    sv = state_from_code(LinearCode(MatrixGF(f5, [[1]])))
     dense = StateVector.from_json(sv.to_json())
     sparse = StateVector.from_json(sv.to_json(sparse=True))
     assert sv.overlap(dense) == pytest.approx(1.0)
@@ -67,7 +65,7 @@ def test_json_round_trip_dense_and_sparse(f5):
 # ---------------------------------------------------------------------------
 
 def test_bell_state_amplitudes(f5):
-    sv = state_from_code(LinearCode.from_entries(f5, [[1]]))
+    sv = state_from_code(LinearCode(MatrixGF(f5, [[1]])))
     expected = np.zeros(25, dtype=complex)
     for a in range(5):
         expected[a * 5 + a] = 5**-0.5
@@ -75,7 +73,7 @@ def test_bell_state_amplitudes(f5):
 
 
 def test_ghz_state_amplitudes(f5):
-    sv = state_from_code(LinearCode.from_entries(f5, [[1, 1]]))
+    sv = state_from_code(LinearCode(MatrixGF(f5, [[1, 1]])))
     idx = np.nonzero(np.abs(sv.amplitudes) > 1e-9)[0]
     assert idx.tolist() == [a * 25 + a * 5 + a for a in range(5)]
     assert np.allclose(np.abs(sv.amplitudes[idx]), 5**-0.5)
@@ -96,7 +94,7 @@ def test_empty_graph_is_plus_states():
 
 
 def test_bell_graph_eigenchecks(f5):
-    adj = bipartite_adjacency(LinearCode.from_entries(f5, [[1]]))
+    adj = bipartite_adjacency(LinearCode(MatrixGF(f5, [[1]])))
     g = graph_state(adj)
     for row in graph_generators(adj):
         assert eigencheck(g, row[: adj.n], row[adj.n :])
@@ -112,7 +110,7 @@ def test_generator_products_match_sweep_weights():
     # S_1^{w_1} ... S_n^{w_n} is X^w Z^{Gamma w} up to a phase; apply it
     # gate by gate and compare its weight with the sweep's support weight
     for adj in (
-        bipartite_adjacency(LinearCode.from_entries(PrimeField(5), [[1]])),
+        bipartite_adjacency(LinearCode(MatrixGF(PrimeField(5), [[1]]))),
         bipartite_adjacency(mds_code(PrimeField(3), 4, 2)),
     ):
         q, n = adj.field.p, adj.n
@@ -129,7 +127,7 @@ def test_generator_products_match_sweep_weights():
 
 
 def test_non_stabilizer_operator_fails_eigencheck(f5):
-    adj = bipartite_adjacency(LinearCode.from_entries(f5, [[1]]))
+    adj = bipartite_adjacency(LinearCode(MatrixGF(f5, [[1]])))
     g = graph_state(adj)
     assert not eigencheck(g, [1, 0], [0, 0])
 
@@ -139,35 +137,23 @@ def test_non_stabilizer_operator_fails_eigencheck(f5):
 # ---------------------------------------------------------------------------
 
 def test_shift_gate_on_basis_state():
-    sv = apply_x(basis_state(5, 1, [0]), 1)
+    sv = apply_x(StateVector(5, 1, np.eye(5)[0]), 1)
     assert np.argmax(np.abs(sv.amplitudes)) == 1
 
 
 def test_phase_gate_on_basis_state():
-    sv = apply_z(basis_state(5, 1, [2]), 1, 3)
+    sv = apply_z(StateVector(5, 1, np.eye(5)[2]), 1, 3)
     assert sv.amplitudes[2] == pytest.approx(np.exp(2j * np.pi * 6 / 5))
 
 
 def test_fourier_on_qubit_zero():
-    sv = apply_fourier(basis_state(2, 1, [0]), 1)
+    sv = apply_fourier(StateVector(2, 1, np.eye(2)[0]), 1)
     assert np.allclose(sv.amplitudes, [2**-0.5, 2**-0.5])
 
 
 def test_fourier_inverse_round_trip(phi60):
     sv = apply_fourier(apply_fourier(phi60, 3), 3, inverse=True)
     assert sv.overlap(phi60) == pytest.approx(1.0)
-
-
-def test_apply_local_token_parsing():
-    sv = basis_state(5, 2, [0, 0])
-    assert np.argmax(np.abs(apply_local(sv, 1, "X^2").amplitudes)) == 2 * 5
-    assert np.argmax(np.abs(apply_local(sv, 2, "X").amplitudes)) == 1
-    z = apply_local(basis_state(5, 1, [1]), 1, "Z^2")
-    assert z.amplitudes[1] == pytest.approx(np.exp(2j * np.pi * 2 / 5))
-    f = apply_local(basis_state(2, 1, [0]), 1, "F")
-    assert np.allclose(f.amplitudes, [2**-0.5, 2**-0.5])
-    with pytest.raises(ValueError):
-        apply_local(sv, 1, "H")
 
 
 def test_gate_index_validation(phi60):
@@ -266,13 +252,13 @@ def test_operator_validation(f5, phi60):
 # ---------------------------------------------------------------------------
 
 def test_bell_reduction_is_maximally_mixed(f5):
-    sv = state_from_code(LinearCode.from_entries(f5, [[1]]))
+    sv = state_from_code(LinearCode(MatrixGF(f5, [[1]])))
     rho = reduced_density(sv, [1])
     assert np.max(np.abs(rho - np.eye(5) / 5)) < 1e-12
 
 
 def test_product_state_reduction_is_pure():
-    sv = basis_state(5, 2, [0, 0])
+    sv = StateVector(5, 2, np.eye(25)[0])
     rho = reduced_density(sv, [1])
     assert rank_of_reduction(sv, [1]) == 1
     assert rho[0, 0] == pytest.approx(1.0)
@@ -298,7 +284,7 @@ def test_reduction_subset_validation(phi60):
 
 
 def test_ghz_is_exactly_1_uniform(f5):
-    ghz = state_from_code(LinearCode.from_entries(f5, [[1, 1]]))
+    ghz = state_from_code(LinearCode(MatrixGF(f5, [[1, 1]])))
     assert uniformity_by_oracle(ghz) == 1
 
 
@@ -317,7 +303,7 @@ def test_support_counts_for_ame_pair(phi50, phi52):
 
 
 def test_support_count_of_basis_state():
-    assert support_count(basis_state(5, 3, [0, 0, 0])) == 1
+    assert support_count(StateVector(5, 3, np.eye(125)[0])) == 1
 
 
 def test_is_maximally_mixed_tolerance():

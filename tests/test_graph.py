@@ -61,6 +61,12 @@ def test_adjacency_rejects_asymmetric(f5):
         Adjacency(MatrixGF(f5, [[0, 1], [2, 0]]))
 
 
+def test_adjacency_refuses_fractional_weights(f5):
+    # once truncated to [[0, 1], [1, 0]], which is a valid graph
+    with pytest.raises(ValueError):
+        Adjacency(MatrixGF(f5, [[0, 1.7], [1.7, 0]]))
+
+
 def test_adjacency_edges_and_counts(f5):
     adj = Adjacency(MatrixGF(f5, GAMMA_62))
     assert adj.edge_count() == 9
@@ -72,7 +78,7 @@ def test_adjacency_edges_and_counts(f5):
 # ---------------------------------------------------------------------------
 
 def test_bell_pair_graph(f5):
-    adj = bipartite_adjacency(LinearCode.from_entries(f5, [[1]]))
+    adj = bipartite_adjacency(LinearCode(MatrixGF(f5, [[1]])))
     assert adj.gamma.entries.tolist() == [[0, 4], [4, 0]]
 
 
@@ -126,7 +132,7 @@ def test_general_builder_rejects_bad_blocks(f5):
 
 
 def test_general_builder_rejects_singular_a(f5):
-    code = LinearCode.from_entries(f5, [[1, 1], [1, 1]])
+    code = LinearCode(MatrixGF(f5, [[1, 1], [1, 1]]))
     with pytest.raises(ValueError):
         general_adjacency(code, MatrixGF.zeros(f5, 2, 2))
 
@@ -248,7 +254,7 @@ def test_hierarchy_spec_label(f5):
 # ---------------------------------------------------------------------------
 
 def test_dot_for_bell_pair(f5):
-    adj = bipartite_adjacency(LinearCode.from_entries(f5, [[1]]))
+    adj = bipartite_adjacency(LinearCode(MatrixGF(f5, [[1]])))
     dot = export_dot(adj)
     assert "1 -- 2 [label=4];" in dot
     assert dot.startswith("graph g {")

@@ -1,10 +1,14 @@
 from itertools import combinations, permutations, product
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from kunigraph import matrix
+from kunigraph.codes import mds_a_matrix
 from kunigraph.field import PrimeField
-from kunigraph.matrix import MatrixGF
+from kunigraph.matrix import MatrixGF, row_reduce
 
 PAPER_A = [[1, 1, 1, 1], [1, 2, 3, 4]]
 A_3x3 = [[1, 1, 1], [1, 2, 3], [1, 3, 4]]
@@ -71,47 +75,63 @@ def test_rank_equals_rank_of_transpose():
 
 
 # ---------------------------------------------------------------------------
-# determinant
+# the batched row reduction
 # ---------------------------------------------------------------------------
 
-def test_det_requires_square(f5):
-    with pytest.raises(ValueError):
-        MatrixGF(f5, PAPER_A).det()
+def brute_rank(entries, p):
+    """Largest order of a minor with nonzero expansion determinant (test-side oracle)."""
+    rows, cols = len(entries), len(entries[0])
+    for t in range(min(rows, cols), 0, -1):
+        for rsel in combinations(range(rows), t):
+            for csel in combinations(range(cols), t):
+                minor = [[entries[r][c] for c in csel] for r in rsel]
+                if perm_expansion_det(minor, p):
+                    return t
+    return 0
 
 
-def test_det_small_cases(f5):
-    assert MatrixGF(f5, [[1, 1], [1, 2]]).det() == 1
-    assert MatrixGF(f5, [[1, 1], [1, 1]]).det() == 0
-    assert MatrixGF(f5, np.eye(4, dtype=np.int64)).det() == 1
+@st.composite
+def stacks_with_dependent_rows(draw):
+    """(p, stack): up to 4 matrices of at most 5 x 5, some rows combinations of others."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    count = draw(st.integers(1, 4))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.integers(0, p - 1)
+    stack = np.array(
+        draw(st.lists(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows),
+                      min_size=count, max_size=count)),
+        dtype=np.int64,
+    )
+    for b in range(count):
+        for r in range(1, rows):
+            if draw(st.booleans()):
+                coeffs = np.array(draw(st.lists(entry, min_size=r, max_size=r)))
+                stack[b, r] = (coeffs @ stack[b, :r]) % p
+    return p, stack
 
 
-def test_det_matches_permutation_expansion():
-    rng = np.random.default_rng(23)
-    for p in (3, 5, 7):
-        f = PrimeField(p)
-        for n in (1, 2, 3, 4):
-            for _ in range(10):
-                entries = rng.integers(0, p, size=(n, n)).tolist()
-                assert MatrixGF(f, entries).det() == perm_expansion_det(entries, p)
+@given(stacks_with_dependent_rows())
+def test_row_reduce_ranks_match_brute_force(case):
+    p, stack = case
+    expected = [brute_rank(m.tolist(), p) for m in stack]
+    reduced, ranks = row_reduce(stack.copy(), PrimeField(p))
+    assert ranks.tolist() == expected
+    for m, rank in zip(reduced, ranks):
+        assert not m[rank:].any()
+        for i in range(rank):
+            lead = int(np.flatnonzero(m[i])[0])
+            assert m[i, lead] == 1
+            assert np.count_nonzero(m[:, lead]) == 1
 
 
-def test_inverse_round_trip(f5):
-    rng = np.random.default_rng(31)
-    eye = np.eye(3, dtype=np.int64)
-    found = 0
-    while found < 10:
-        m = MatrixGF(f5, rng.integers(0, 5, size=(3, 3)))
-        if m.det() == 0:
-            continue
-        found += 1
-        inv = m.inverse().entries
-        assert np.array_equal((m.entries @ inv) % 5, eye)
-        assert np.array_equal((inv @ m.entries) % 5, eye)
-
-
-def test_inverse_of_singular_raises(f5):
-    with pytest.raises(ValueError):
-        MatrixGF(f5, [[1, 1], [1, 1]]).inverse()
+def test_rank_of_a_matrix_is_its_row_reduce_rank():
+    rng = np.random.default_rng(5)
+    f = PrimeField(7)
+    stack = rng.integers(0, 7, size=(30, 3, 4))
+    stack[:10, 2] = (stack[:10, 0] + 3 * stack[:10, 1]) % 7
+    ranks = row_reduce(stack.copy(), f)[1]
+    assert ranks.tolist() == [MatrixGF(f, m).rank() for m in stack]
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +164,29 @@ def test_minor_check_matches_expansion_oracle():
             brute_minors_all_nonsingular(entries, 5)
 
 
+def test_minor_check_is_the_same_in_small_chunks(monkeypatch):
+    rng = np.random.default_rng(53)
+    f = PrimeField(13)
+    monkeypatch.setattr(matrix, "MINOR_CHUNK", 3)
+    for _ in range(40):
+        rows, cols = rng.integers(2, 5, size=2)
+        entries = rng.integers(1, 13, size=(rows, cols)).tolist()
+        assert MatrixGF(f, entries).all_square_submatrices_nonsingular() == \
+            brute_minors_all_nonsingular(entries, 13)
+
+
+def test_gf17_16_8_block_spans_several_chunks():
+    f17 = PrimeField(17)
+    a = mds_a_matrix(f17, 8, 8)
+    assert comb(8, 4) ** 2 > matrix.MINOR_CHUNK
+    assert a.all_square_submatrices_nonsingular()
+    # plant a singular 2 x 2 minor on rows and columns 6, 7
+    ent = a.entries.tolist()
+    ent[7][7] = ent[6][7] * ent[7][6] * f17.inv(ent[6][6]) % 17
+    assert perm_expansion_det([row[6:] for row in ent[6:]], 17) == 0
+    assert not MatrixGF(f17, ent).all_square_submatrices_nonsingular()
+
+
 # ---------------------------------------------------------------------------
 # row combinations: nonsingular minors bound the zero count
 # ---------------------------------------------------------------------------
@@ -162,8 +205,6 @@ def vanishing_bound_holds(m):
 
 
 def test_row_combination_zero_bound_for_mds_blocks():
-    from kunigraph.codes import mds_a_matrix
-
     for p in (5, 7):
         f = PrimeField(p)
         for k in (1, 2, 3):
@@ -181,6 +222,21 @@ def test_zero_bound_fails_for_singular_block(f5):
 # ---------------------------------------------------------------------------
 # immutability and serialization
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[0, 1.7], [1.7, 0]], [[0.0, 1.0], [1.0, 0.0]], [[True, False]], np.array([[1]], dtype=object)],
+)
+def test_constructor_refuses_non_integer_entries(f5, entries):
+    with pytest.raises(ValueError, match="must be integers"):
+        MatrixGF(f5, entries)
+
+
+def test_constructor_reduces_integers_and_keeps_empty_grids(f5):
+    assert MatrixGF(f5, [[7, -1]]).entries.tolist() == [[2, 4]]
+    assert MatrixGF(f5, np.array([[6, 255]], dtype=np.uint8)).entries.tolist() == [[1, 0]]
+    assert MatrixGF(f5, np.zeros((2, 0))).shape == (2, 0)
+
 
 def test_entries_are_read_only(f5):
     m = MatrixGF(f5, PAPER_A)

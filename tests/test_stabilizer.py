@@ -27,7 +27,7 @@ from kunigraph.stabilizer import (
 
 @pytest.fixture
 def bell_adj(f5):
-    return bipartite_adjacency(LinearCode.from_entries(f5, [[1]]))
+    return bipartite_adjacency(LinearCode(MatrixGF(f5, [[1]])))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_twenty_random_blocks_verify(f5):
 
 
 def test_singular_a_is_rejected_before_verification(f5):
-    code = LinearCode.from_entries(f5, [[1, 1], [1, 1]])
+    code = LinearCode(MatrixGF(f5, [[1, 1], [1, 1]]))
     with pytest.raises(ValueError):
         verify_general_uniformity(code, MatrixGF.zeros(f5, 2, 2))
 
@@ -192,7 +192,7 @@ def test_sweep_agrees_with_dense_oracle_on_corpus(f5):
     rng = np.random.default_rng(99)
     corpus = [
         Adjacency(MatrixGF.zeros(f5, 3, 3)),
-        bipartite_adjacency(LinearCode.from_entries(f5, [[1]])),
+        bipartite_adjacency(LinearCode(MatrixGF(f5, [[1]]))),
         bipartite_adjacency(mds_code(f5, 5, 2)),
         bipartite_adjacency(mds_code(f5, 6, 2)),
         hierarchy_adjacency(HierarchySpec(f5, ((6, 2), (2, 1)))),
