@@ -1,11 +1,15 @@
 """Classical linear codes [n, k]_q in standard form G = [I_k | A].
 
-Covers codeword enumeration, brute-force minimum distance, dual codes,
-and construction of A matrices with all square submatrices nonsingular
-(the MDS property) from Singleton arrays.
+Covers codeword enumeration, exact minimum distance by information-set
+enumeration, dual codes, and construction of A matrices with all square
+submatrices nonsingular (the MDS property) from Singleton arrays. Nothing
+here imports the sweep (stabilizer, _kernels) or the dense oracle: the
+structural route must stay independent of the routes it is checked against.
 """
 
 from __future__ import annotations
+
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -13,7 +17,11 @@ from .errors import ResourceLimitError, max_exponent
 from .field import PrimeField
 from .matrix import MatrixGF, json_field_and_grid, row_reduce
 
-ENUMERATION_GUARD = 1 << 24  # max q**k codewords enumerated brute force
+# max q**k codewords of a code that is enumerated or has its minimum distance
+# found; min_distance usually meets far fewer, but with one information set
+# and d = k + 1 it meets about q^k / (q - 1)
+ENUMERATION_GUARD = 1 << 24
+ENCODE_CHUNK = 1 << 20  # bound on messages x generators x n x support size per batch
 
 
 class LinearCode:
@@ -94,21 +102,63 @@ def enumerate_codewords(code: LinearCode) -> np.ndarray:
     return (code.messages() @ code.generator.entries) % code.field.p
 
 
-def min_distance(code: LinearCode) -> int:
-    """Minimum Hamming weight over the nonzero codewords, by brute force."""
-    code._guard()
-    q = code.field.p
+def _information_set_generators(code: LinearCode) -> np.ndarray:
+    """An (m, k, n) stack of generators, each systematic on its own information set.
+
+    The m information sets are disjoint and found greedily. The first is
+    the identity block of G = [I | A]. Each further one is the pivot set of
+    one row reduction of G with the columns no set uses yet placed first,
+    and the search ends once those columns have rank below k.
+    """
+    k, n = code.k, code.n
     gen = code.generator.entries
+    gens = [gen]
+    used = np.arange(n) < k
+    while (free := n - int(np.count_nonzero(used))) >= k:
+        order = np.argsort(used, kind="stable")
+        reduced = row_reduce(gen[:, order][None], code.field)[0][0]
+        if not reduced[-1, :free].any():
+            break
+        systematic = np.empty_like(reduced)
+        systematic[:, order] = reduced
+        used[order[np.argmax(reduced != 0, axis=1)]] = True
+        gens.append(systematic)
+    return np.stack(gens)
+
+
+def min_distance(code: LinearCode) -> int:
+    """Minimum Hamming weight over the nonzero codewords, exactly.
+
+    Information-set enumeration (Brouwer-Zimmermann): with m generators,
+    each systematic on one of m disjoint information sets, level t encodes
+    with every generator each message of support size t whose first
+    nonzero entry is 1 (a scalar multiple of a codeword has its weight). A
+    codeword not met by the end of level t has weight at least t + 1 on
+    every information set, so at least m(t + 1) in all. The search stops
+    after the first level t whose best weight is <= m(t + 1), or at t = k,
+    when every codeword has been met. The q^k enumeration guard applies.
+    """
+    code._guard()
+    q, k = code.field.p, code.k
+    gens = _information_set_generators(code)
     best = code.n
-    chunk = 1 << 14
-    total = code.message_count()
-    powers = q ** np.arange(code.k - 1, -1, -1, dtype=np.int64)
-    for start in range(1, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        msgs = (idx[:, None] // powers[None, :]) % q
-        words = (msgs @ gen) % q
-        weights = np.count_nonzero(words, axis=1)
-        best = min(best, int(weights.min()))
+    for t in range(1, k + 1):
+        patterns = (q - 1) ** (t - 1)
+        digit_powers = (q - 1) ** np.arange(t - 2, -1, -1, dtype=np.int64)
+        batch = max(1, ENCODE_CHUNK // (len(gens) * code.n * t))
+        batch_patterns = min(patterns, batch)
+        supports = combinations(range(k), t)
+        while chunk := list(islice(supports, max(1, batch // patterns))):
+            # one (t, m * supports * n) block: every pattern times every support's rows
+            rows = gens[:, chunk].transpose(2, 0, 1, 3).reshape(t, -1)
+            for start in range(0, patterns, batch_patterns):
+                index = np.arange(start, min(start + batch_patterns, patterns))
+                values = np.ones((index.size, t), dtype=np.int64)
+                values[:, 1:] += index[:, None] // digit_powers % (q - 1)
+                words = (values @ rows % q).reshape(-1, code.n)
+                best = min(best, int(np.count_nonzero(words, axis=1).min()))
+        if best <= len(gens) * (t + 1):
+            break
     return best
 
 

@@ -95,13 +95,39 @@ class StateVector:
 
     @classmethod
     def from_json(cls, payload: dict) -> "StateVector":
-        q, n = payload["q"], payload["n"]
-        if payload.get("sparse"):
-            amp = np.zeros(_amplitude_count(q, n), dtype=np.complex128)
-            for i, re, im in payload["amplitudes"]:
-                amp[i] = complex(re, im)
-        else:
-            amp = np.array([complex(re, im) for re, im in payload["amplitudes"]])
+        """The state of a to_json payload, read exactly.
+
+        q >= 2 and n >= 1 must be integers, and booleans do not count. In
+        the sparse form every index must be an integer in [0, q^n) that
+        appears once; nothing wraps around or overwrites another entry.
+        Each of these refusals is a ValueError.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+        for key in ("q", "n", "amplitudes"):
+            if key not in payload:
+                raise ValueError(f"missing key {key!r}")
+        q, n, sparse = payload["q"], payload["n"], payload.get("sparse", False)
+        if type(q) is not int or type(n) is not int or q < 2 or n < 1:
+            raise ValueError(f"'q' >= 2 and 'n' >= 1 must be integers, got {q!r} and {n!r}")
+        if not isinstance(sparse, bool):
+            raise ValueError(f"'sparse' must be a boolean, got {sparse!r}")
+        if not sparse:
+            return cls(q, n, [complex(re, im) for re, im in payload["amplitudes"]])
+        dim = _amplitude_count(q, n)
+        amp = np.zeros(dim, dtype=np.complex128)
+        if payload["amplitudes"]:
+            # checked a column at a time: per-entry Python would dominate a reload
+            index, re, im = zip(*payload["amplitudes"], strict=True)
+            if set(map(type, index)) != {int}:
+                raise ValueError("sparse indices must be integers")
+            index = np.array(index)  # object dtype if an index overflows int64
+            if index.dtype.kind != "i" or index.min() < 0 or index.max() >= dim:
+                raise ValueError(f"sparse indices must lie in [0, {dim})")
+            ordered = np.sort(index)
+            if np.any(ordered[1:] == ordered[:-1]):
+                raise ValueError("sparse indices repeat")
+            amp[index] = np.array(re) + 1j * np.array(im)
         return cls(q, n, amp)
 
 

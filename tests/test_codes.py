@@ -2,10 +2,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kunigraph.codes import (
     ENUMERATION_GUARD,
     LinearCode,
+    _information_set_generators,
     dual_code,
     enumerate_codewords,
     mds_a_matrix,
@@ -124,13 +126,69 @@ def test_min_distance_full_dimension_code(f5):
 
 def test_min_distance_matches_brute_force():
     rng = np.random.default_rng(5)
-    for p in (2, 3, 5):
+    for p, max_k in ((2, 6), (3, 5), (5, 4), (7, 3)):
         f = PrimeField(p)
         for _ in range(10):
-            k = int(rng.integers(1, 3))
-            m = int(rng.integers(1, 4))
+            k = int(rng.integers(1, max_k + 1))
+            m = int(rng.integers(0, 8))
             code = LinearCode(MatrixGF(f, rng.integers(0, p, size=(k, m))))
             assert min_distance(code) == brute_min_weight(code)
+
+
+@st.composite
+def planted_codes(draw):
+    """Random codes whose A has planted zero columns, repeated columns and
+    duplicated rows, so that fewer disjoint information sets exist."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 8))
+    entries = st.integers(0, p - 1)
+    a = np.array(
+        draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=k, max_size=k)),
+        dtype=np.int64,
+    ).reshape(k, m)
+    if m:
+        columns = st.integers(0, m - 1)
+        for col in draw(st.lists(columns, max_size=2)):
+            a[:, col] = 0
+        for src, dst in draw(st.lists(st.tuples(columns, columns), max_size=2)):
+            a[:, dst] = a[:, src]
+    rows = st.integers(0, k - 1)
+    for src, dst in draw(st.lists(st.tuples(rows, rows), max_size=2)):
+        a[dst] = a[src]
+    return LinearCode(MatrixGF(PrimeField(p), a))
+
+
+@given(planted_codes())
+def test_min_distance_matches_brute_force_on_planted_codes(code):
+    assert min_distance(code) == brute_min_weight(code)
+
+
+def test_min_distance_needs_the_level_at_the_stopping_bound():
+    # Two disjoint information sets, and every level-1 word weighs 5 or more.
+    # After level 1 an unseen word is only known to weigh >= 2 * (1 + 1) = 4,
+    # so the search must go on; one that stopped a level early, at
+    # best <= 2 * (1 + 2), would report 5. The weight-4 words appear at level 2.
+    code = LinearCode(
+        MatrixGF(PrimeField(3), [[1, 2, 0, 1, 2], [2, 0, 2, 2, 1], [1, 2, 1, 0, 1]])
+    )
+    gens = _information_set_generators(code)
+    assert len(gens) == 2
+    assert np.count_nonzero(gens, axis=2).min() == 5
+    assert brute_min_weight(code) == 4
+    assert min_distance(code) == 4
+
+
+def test_information_sets_are_greedy_disjoint_and_systematic():
+    # G's columns 4 and 8 are zero and 5, 6 equal column 2, so after {0, 1}
+    # the greedy sets are {2, 3} and {5, 7}; what is left, {4, 6, 8}, has rank 1
+    code = LinearCode(MatrixGF(PrimeField(5), [[1, 1, 0, 1, 1, 2, 0], [1, 2, 0, 1, 1, 3, 0]]))
+    gens = _information_set_generators(code)
+    assert len(gens) == 3
+    for gen, cols in zip(gens, ([0, 1], [2, 3], [5, 7])):
+        assert np.array_equal(gen[:, cols], np.eye(code.k, dtype=np.int64))
+        # the same code: each generator is its own first k columns times [I | A]
+        assert np.array_equal(gen[:, : code.k] @ code.generator.entries % 5, gen)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,33 @@ def test_json_round_trip_dense_and_sparse(f5):
     assert sv.overlap(dense) == pytest.approx(1.0)
     assert sv.overlap(sparse) == pytest.approx(1.0)
     assert len(sv.to_json(sparse=True)["amplitudes"]) == 5
+    payload = sv.to_json(sparse=True)
+    payload["amplitudes"].reverse()  # entry order does not matter
+    assert np.array_equal(StateVector.from_json(payload).amplitudes, sv.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # the sparse payloads have norm 1, so the norm check cannot be what refuses them
+        {"q": 2, "n": 1, "sparse": True, "amplitudes": [[-1, 1.0, 0.0]]},
+        {"q": 2, "n": 1, "sparse": True, "amplitudes": [[True, 0.5**0.5, 0.0]]},
+        {"q": 2, "n": 1, "sparse": True, "amplitudes": [[0, 1.0, 0.0], [0, 1.0, 0.0]]},
+        {"q": 2, "n": 1, "sparse": True, "amplitudes": [[1.0, 1.0, 0.0]]},
+        {"q": 2, "n": 1, "sparse": True, "amplitudes": [[2, 1.0, 0.0]]},
+        {"q": 2, "n": 1, "sparse": True, "amplitudes": [[2**70, 1.0, 0.0]]},
+        {"q": 2, "n": 1, "sparse": 1, "amplitudes": [[0, 1.0, 0.0]]},
+        {"q": 2.0, "n": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+        {"q": True, "n": 1, "amplitudes": [[1.0, 0.0]]},
+        {"q": 2, "n": False, "amplitudes": [[1.0, 0.0]]},
+        {"q": 2, "n": 0, "amplitudes": [[1.0, 0.0]]},
+        {"q": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+        [2, 1, [[1.0, 0.0], [0.0, 0.0]]],
+    ],
+)
+def test_state_json_is_read_exactly(payload):
+    with pytest.raises(ValueError):
+        StateVector.from_json(payload)
 
 
 # ---------------------------------------------------------------------------
