@@ -12,7 +12,8 @@ qudit 1 the most significant digit.
 
 from __future__ import annotations
 
-from itertools import combinations, product as iter_product
+import math
+from itertools import chain, combinations, product as iter_product
 
 import numpy as np
 
@@ -50,6 +51,8 @@ class StateVector:
         if amp.shape != (dim,):
             raise ValueError(f"amplitude vector must have length {dim}")
         norm = float(np.linalg.norm(amp))
+        if not math.isfinite(norm):
+            raise ValueError(f"state norm {norm} is not finite")
         if normalize:
             if norm == 0.0:
                 raise ValueError("cannot normalize the zero vector")
@@ -80,17 +83,21 @@ class StateVector:
         return self.overlap(other) >= 1.0 - OVERLAP_TOL
 
     def to_json(self, sparse: bool = False) -> dict:
+        """JSON payload: [re, im] pairs, or [index, re, im] over the support when sparse.
+
+        Built in bulk by tolist(), which yields Python ints and floats.
+        """
+        amp = np.ascontiguousarray(self.amplitudes)
         if sparse:
-            idx = np.nonzero(np.abs(self.amplitudes) > SUPPORT_TOL)[0]
-            amps = [
-                [int(i), float(self.amplitudes[i].real), float(self.amplitudes[i].imag)]
-                for i in idx
-            ]
+            idx = np.nonzero(np.abs(amp) > SUPPORT_TOL)[0]
+            kept = amp[idx]
+            entries = zip(idx.tolist(), kept.real.tolist(), kept.imag.tolist())
+            amps = list(map(list, entries))
             return {"q": self.q, "n": self.n, "sparse": True, "amplitudes": amps}
         return {
             "q": self.q,
             "n": self.n,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
+            "amplitudes": amp.view(np.float64).reshape(-1, 2).tolist(),
         }
 
     @classmethod
@@ -100,7 +107,10 @@ class StateVector:
         q >= 2 and n >= 1 must be integers, and booleans do not count. In
         the sparse form every index must be an integer in [0, q^n) that
         appears once; nothing wraps around or overwrites another entry.
-        Each of these refusals is a ValueError.
+        Every real and imaginary part must be an int or a float (booleans
+        do not count), each entry a list of its form's length, and the norm
+        finite and within NORM_TOL of 1. Each of these refusals is a
+        ValueError.
         """
         if not isinstance(payload, dict):
             raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
@@ -113,12 +123,15 @@ class StateVector:
         if not isinstance(sparse, bool):
             raise ValueError(f"'sparse' must be a boolean, got {sparse!r}")
         if not sparse:
-            return cls(q, n, [complex(re, im) for re, im in payload["amplitudes"]])
+            return cls(q, n, _dense_amplitudes(payload["amplitudes"]))
         dim = _amplitude_count(q, n)
         amp = np.zeros(dim, dtype=np.complex128)
         if payload["amplitudes"]:
             # checked a column at a time: per-entry Python would dominate a reload
-            index, re, im = zip(*payload["amplitudes"], strict=True)
+            try:
+                index, re, im = zip(*payload["amplitudes"], strict=True)
+            except TypeError:  # a null, number or other unsized entry
+                raise ValueError("sparse amplitudes must be [index, re, im] triples") from None
             if set(map(type, index)) != {int}:
                 raise ValueError("sparse indices must be integers")
             index = np.array(index)  # object dtype if an index overflows int64
@@ -127,14 +140,35 @@ class StateVector:
             ordered = np.sort(index)
             if np.any(ordered[1:] == ordered[:-1]):
                 raise ValueError("sparse indices repeat")
-            amp[index] = np.array(re) + 1j * np.array(im)
+            amp.real[index] = _float_parts(re)
+            amp.imag[index] = _float_parts(im)
         return cls(q, n, amp)
 
 
-def _digit(q: int, n: int, qudit: int) -> np.ndarray:
-    """Digit of each basis index at 1-based qudit position."""
-    idx = np.arange(q**n, dtype=np.int64)
-    return (idx // q ** (n - qudit)) % q
+def _float_parts(values) -> np.ndarray:
+    """Real or imaginary parts as float64; each must be an int or a float, not a bool."""
+    if not set(map(type, values)) <= {int, float}:
+        raise ValueError("amplitude parts must be numbers")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("an amplitude part overflows a float") from None
+
+
+def _dense_amplitudes(pairs) -> np.ndarray:
+    """The complex vector of a dense payload's [re, im] pairs, read exactly.
+
+    Checked a pass at a time over the whole list: per-entry Python would
+    dominate a reload.
+    """
+    try:
+        paired = set(map(len, pairs)) <= {2}
+        parts = list(chain.from_iterable(pairs))
+    except TypeError:  # a null, number or other unsized entry
+        paired = False
+    if not paired:
+        raise ValueError("dense amplitudes must be [re, im] pairs")
+    return _float_parts(parts).view(np.complex128)
 
 
 def state_from_code(code: LinearCode) -> StateVector:
@@ -159,17 +193,16 @@ def graph_state(adj: Adjacency) -> StateVector:
     q = adj.field.p
     n = adj.n
     dim = _amplitude_count(q, n)
-    exps = np.zeros(dim, dtype=np.int64)
+    exps = np.zeros((q,) * n, dtype=np.int64)
+    products = np.outer(np.arange(q), np.arange(q))
     ent = adj.gamma.entries
-    for i in range(n):
-        di = None
-        for j in range(i + 1, n):
-            if ent[i, j]:
-                if di is None:
-                    di = _digit(q, n, i + 1)
-                exps += int(ent[i, j]) * di * _digit(q, n, j + 1)
+    for i, j in zip(*np.nonzero(np.triu(ent, 1))):
+        # edge (i, j) adds its q x q table Gamma_ij * a * b along axes i < j
+        shape = [1] * n
+        shape[i] = shape[j] = q
+        exps += (int(ent[i, j]) * products % q).reshape(shape)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    amp = roots[exps % q] / np.sqrt(dim)
+    amp = roots[exps.reshape(-1) % q] / np.sqrt(dim)
     return StateVector(q, n, amp)
 
 

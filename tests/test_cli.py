@@ -1,7 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
+from kunigraph import (
+    Adjacency,
+    LinearCode,
+    PrimeField,
+    StateVector,
+    graph_state,
+    hierarchy_state_from_codes,
+    mds_code,
+    state_from_code,
+)
 from kunigraph import cli
 from kunigraph.matrix import MatrixGF
 
@@ -58,6 +69,39 @@ def test_build_with_state(tmp_path, capsys):
     state = json.loads((tmp_path / "state.json").read_text())
     assert state["sparse"] is True
     assert len(state["amplitudes"]) == 25
+
+
+# each construction form with the state a library call builds from the same inputs
+STATE_FORMS = {
+    "code_superposition": (
+        ["--n", "6", "--k", "2"],
+        lambda result: state_from_code(LinearCode.from_json(result["code"])),
+    ),
+    "hierarchy_operator": (
+        ["--levels", "6:2,2:1"],
+        lambda result: hierarchy_state_from_codes(
+            mds_code(PrimeField(5), 6, 2), mds_code(PrimeField(5), 2, 1)
+        ),
+    ),
+    "graph": (
+        ["--n", "6", "--k", "2", "--b-mode", "random", "--seed", "3"],
+        lambda result: graph_state(Adjacency.from_json(result["adjacency"])),
+    ),
+}
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("form", STATE_FORMS)
+def test_state_file_holds_the_payload_of_a_fresh_state(tmp_path, capsys, form, sparse):
+    flags, fresh_state = STATE_FORMS[form]
+    argv = ["build", "--p", "5", *flags, "--with-state", "--out", str(tmp_path)]
+    status, doc = run_json(capsys, *argv, *(["--sparse-state"] if sparse else []))
+    assert status == 0
+    assert doc["result"]["state_form"] == form
+    fresh = fresh_state(doc["result"])
+    payload = json.loads((tmp_path / "state.json").read_text(encoding="utf-8"))
+    assert payload == fresh.to_json(sparse=sparse)
+    assert np.array_equal(StateVector.from_json(payload).amplitudes, fresh.amplitudes)
 
 
 def test_build_rejects_composite_modulus(capsys):

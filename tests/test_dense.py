@@ -1,10 +1,13 @@
+import json
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kunigraph.codes import LinearCode, mds_code
 from kunigraph.dense import (
+    SUPPORT_TOL,
     StateVector,
     apply_O,
     apply_fourier,
@@ -38,6 +41,13 @@ def test_norm_validation():
         StateVector(2, 1, [1.0, 1.0])
     sv = StateVector(2, 1, [1.0, 1.0], normalize=True)
     assert np.allclose(sv.amplitudes, [1 / np.sqrt(2)] * 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_non_finite_norm_is_refused(bad, normalize):
+    with pytest.raises(ValueError, match="not finite"):
+        StateVector(2, 1, [bad, 0.0], normalize=normalize)
 
 
 def test_size_guard():
@@ -80,11 +90,67 @@ def test_json_round_trip_dense_and_sparse(f5):
         {"q": 2, "n": 0, "amplitudes": [[1.0, 0.0]]},
         {"q": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
         [2, 1, [[1.0, 0.0], [0.0, 0.0]]],
+        # dense entries: a non-finite norm, strings, null, booleans and overflow
+        {"q": 2, "n": 1, "amplitudes": [[float("nan"), 0.0], [0.0, 0.0]]},
+        {"q": 2, "n": 1, "amplitudes": [[float("inf"), 0.0], [0.0, 0.0]]},
+        {"q": 2, "n": 1, "amplitudes": [["1.0", 0.0], [0.0, 0.0]]},
+        {"q": 2, "n": 1, "amplitudes": [[1.0, "0"], [0.0, 0.0]]},
+        {"q": 2, "n": 1, "amplitudes": [[1.0, None], [0.0, 0.0]]},
+        {"q": 2, "n": 1, "amplitudes": [None, [1.0, 0.0]]},
+        {"q": 2, "n": 1, "amplitudes": [[True, False], [False, False]]},
+        {"q": 2, "n": 1, "amplitudes": [[1.0, 0.0], [0.0, False]]},
+        {"q": 2, "n": 1, "amplitudes": [[2**1100, 0.0], [0.0, 0.0]]},
+        {"q": 2, "n": 1, "amplitudes": [[1.0], [0.0, 0.0]]},
+        {"q": 2, "n": 1, "amplitudes": [[1.0, 0.0, 0.0], [0.0, 0.0]]},
+        # sparse parts: the same rule as dense ones
+        {"q": 2, "n": 1, "sparse": True, "amplitudes": [[0, True, 0.0]]},
+        {"q": 2, "n": 1, "sparse": True, "amplitudes": [[0, 1.0, None]]},
+        {"q": 2, "n": 1, "sparse": True, "amplitudes": [[0, 2**1100, 0.0]]},
+        {"q": 2, "n": 1, "sparse": True, "amplitudes": [None]},
+        {"q": 2, "n": 1, "sparse": True, "amplitudes": 1},
+        {"q": 2, "n": 1, "amplitudes": 1},
     ],
 )
 def test_state_json_is_read_exactly(payload):
     with pytest.raises(ValueError):
         StateVector.from_json(payload)
+
+
+def test_state_json_accepts_integer_parts():
+    sv = StateVector.from_json({"q": 2, "n": 1, "amplitudes": [[0, 0], [0, 1]]})
+    assert np.array_equal(sv.amplitudes, [0, 1j])
+
+
+def _elementwise_payload(sv: StateVector, sparse: bool) -> dict:
+    """The payload built one amplitude at a time: the reference for to_json."""
+    amp = sv.amplitudes
+    if sparse:
+        idx = np.nonzero(np.abs(amp) > SUPPORT_TOL)[0]
+        rows = [[int(i), float(amp[i].real), float(amp[i].imag)] for i in idx]
+        return {"q": sv.q, "n": sv.n, "sparse": True, "amplitudes": rows}
+    return {"q": sv.q, "n": sv.n, "amplitudes": [[float(a.real), float(a.imag)] for a in amp]}
+
+
+def _types(payload: dict) -> list:
+    return [[type(x) for x in row] for row in payload["amplitudes"]]
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_to_json_matches_the_elementwise_payload(seed, sparse):
+    rng = np.random.default_rng(seed)
+    q, n = (2, 3, 5)[seed % 3], 3
+    raw = rng.normal(size=2 * q**n) + 1j * rng.normal(size=2 * q**n)
+    raw[rng.random(raw.size) < 0.4] = 0.0
+    raw[0] = complex(-0.0, -0.0)
+    # a strided view: to_json must not depend on the amplitudes being contiguous
+    sv = StateVector(q, n, (raw / np.linalg.norm(raw[::2]))[::2])
+    assert not sv.amplitudes.flags.c_contiguous
+    got, want = sv.to_json(sparse=sparse), _elementwise_payload(sv, sparse)
+    assert got == want
+    assert _types(got) == _types(want)
+    assert json.dumps(got) == json.dumps(want)  # same float reprs, -0.0 included
+    assert np.array_equal(StateVector.from_json(got).amplitudes, sv.amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +179,37 @@ def test_62_state_support(phi60):
 # ---------------------------------------------------------------------------
 # graph states and stabilizer eigenchecks
 # ---------------------------------------------------------------------------
+
+def _digit_graph_state_amplitudes(gamma: np.ndarray, q: int) -> np.ndarray:
+    """omega^{sum_{i<j} Gamma_ij z_i z_j} / sqrt(q^n), from each index's base-q digits."""
+    n = gamma.shape[0]
+    idx = np.arange(q**n, dtype=np.int64)
+    digits = [(idx // q ** (n - 1 - i)) % q for i in range(n)]
+    exps = np.zeros(q**n, dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            exps += int(gamma[i, j]) * digits[i] * digits[j]
+    return np.exp(2j * np.pi * np.arange(q) / q)[exps % q] / np.sqrt(q**n)
+
+
+@st.composite
+def small_adjacencies(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    n = draw(st.integers(1, {2: 10, 3: 7, 5: 5, 7: 4, 11: 3, 13: 3}[p]))
+    pairs = n * (n - 1) // 2
+    upper = np.zeros((n, n), dtype=np.int64)
+    upper[np.triu_indices(n, k=1)] = draw(
+        st.lists(st.integers(0, p - 1), min_size=pairs, max_size=pairs)
+    )
+    return upper + upper.T, p
+
+
+@given(small_adjacencies())
+def test_graph_state_matches_the_digit_formula_bitwise(case):
+    gamma, p = case
+    sv = graph_state(Adjacency(MatrixGF(PrimeField(p), gamma)))
+    assert np.array_equal(sv.amplitudes, _digit_graph_state_amplitudes(gamma, p))
+
 
 def test_empty_graph_is_plus_states():
     f2 = PrimeField(2)

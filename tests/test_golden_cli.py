@@ -2,7 +2,11 @@
 
 Each command runs in a fresh working directory with relative --out paths,
 so the echoed paths do not depend on where the checkout lives. state.json
-is left out: its floats may differ in the last digit across platforms.
+is left out: its floats may differ in the last digit across platforms (a
+different BLAS or libm may round a normalization or a root of unity the
+other way), and a hash cannot tell a last-digit difference from a wrong
+state. tests/test_cli.py checks state.json by value instead, against the
+payload of a freshly built state.
 
 Regenerate the golden file (only when an output change is intended) with
 
