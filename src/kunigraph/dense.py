@@ -6,6 +6,12 @@ code-superposition states, graph states built by controlled-Z products,
 local X/Z/Fourier gates, the hierarchy operator, partial traces, ranks,
 and support counts.
 
+The uniformity oracle checks reductions literally, one Gram product
+rho_S = M M^H per subset, and saves work only through exact identities:
+it tries sizes from n // 2 down and stops at the first size whose
+reductions are all maximally mixed, and at |S| = n/2 it checks only the
+subsets holding qudit 1, since rho_S and rho_{S^c} share their spectrum.
+
 Index convention: basis index = base-q digits of the qudit values with
 qudit 1 the most significant digit.
 """
@@ -311,7 +317,13 @@ def to_graph_form(state: StateVector, positions) -> StateVector:
 
 
 def reduced_density(state: StateVector, subset) -> np.ndarray:
-    """rho_S: exact partial trace over the complement of subset (1-based)."""
+    """rho_S = M M^H, the exact partial trace over the complement of subset.
+
+    Qudits are 1-based; repeats and order in subset are ignored, and rho_S
+    is indexed by the qudits of S in ascending order. M is the amplitude
+    tensor with S's digits as rows and the rest's as columns, so one
+    reduction costs d_S^2 d_rest complex multiply-adds.
+    """
     subset = sorted(set(int(s) for s in subset))
     if not subset:
         raise ValueError("subset must be nonempty")
@@ -330,12 +342,23 @@ def is_maximally_mixed(rho: np.ndarray) -> bool:
 
 
 def uniformity_by_oracle(state: StateVector) -> int:
-    """Largest k with every reduction of size <= k maximally mixed."""
-    for size in range(1, state.n // 2 + 1):
-        for subset in combinations(range(1, state.n + 1), size):
-            if not is_maximally_mixed(reduced_density(state, subset)):
-                return size - 1
-    return state.n // 2
+    """Largest k with every reduction to at most k qudits maximally mixed.
+
+    Sizes are tried from n // 2 down, and the first size whose reductions
+    are all maximally mixed is k: a partial trace of I/d is again maximally
+    mixed, so every smaller size passes as well. At |S| = n/2 only the
+    subsets holding qudit 1 are checked. The others are their complements,
+    and rho_S and rho_{S^c} of a pure state have the same spectrum, so when
+    their dimensions are equal one is I/d exactly when the other is.
+    """
+    n = state.n
+    for size in range(n // 2, 0, -1):
+        subsets = combinations(range(1, n + 1), size)
+        if 2 * size == n:
+            subsets = (s for s in subsets if s[0] == 1)
+        if all(is_maximally_mixed(reduced_density(state, s)) for s in subsets):
+            return size
+    return 0
 
 
 def rank_of_reduction(state: StateVector, subset) -> int:

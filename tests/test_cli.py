@@ -270,6 +270,23 @@ def test_slocc_ame_pair_reports_supports(capsys):
     assert doc["result"]["verdict"] == "distinguished"
 
 
+def test_slocc_runs_the_dense_oracle_once_per_state(capsys, monkeypatch):
+    from kunigraph import analysis, dense
+
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return dense.uniformity_by_oracle(state)
+
+    monkeypatch.setattr(cli, "uniformity_by_oracle", counted)
+    monkeypatch.setattr(analysis, "uniformity_by_oracle", counted)
+    status, doc = run_json(capsys, "slocc", "--p", "5", "--pair", "5:2", "5:2+2:1")
+    assert status == 0
+    assert len(calls) == 2
+    assert doc["result"]["reports"][-1]["supports"] == [25, 125]
+
+
 def test_slocc_rejects_states_on_different_registers(capsys):
     status, out = run_cli(capsys, "slocc", "--p", "5", "--pair", "4:2", "6:2")
     assert status == 2

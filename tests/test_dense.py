@@ -1,9 +1,9 @@
 import json
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kunigraph.codes import LinearCode, mds_code
 from kunigraph.dense import (
@@ -29,7 +29,7 @@ from kunigraph.errors import ResourceLimitError
 from kunigraph.field import PrimeField
 from kunigraph.graph import Adjacency, bipartite_adjacency
 from kunigraph.matrix import MatrixGF
-from kunigraph.stabilizer import graph_generators, support_weight
+from kunigraph.stabilizer import graph_generators, support_weight, uniformity_index
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +389,6 @@ def test_product_state_reduction_is_pure():
 
 
 def test_62_state_all_pair_reductions_maximally_mixed(phi60):
-    from itertools import combinations
-
     subsets = list(combinations(range(1, 7), 2))
     assert len(subsets) == 15
     for subset in subsets:
@@ -438,11 +436,119 @@ def test_is_maximally_mixed_tolerance():
     assert not is_maximally_mixed(rho)
 
 
+def _partial_trace(state: StateVector, subset) -> np.ndarray:
+    """rho_S by numpy's tensordot of psi with its conjugate over the rest's axes.
+
+    The reference for reduced_density, which transposes and multiplies itself.
+    """
+    axes = sorted({int(s) - 1 for s in subset})
+    rest = [i for i in range(state.n) if i not in axes]
+    t = state.tensor()
+    rho = np.tensordot(t, t.conj(), axes=(rest, rest))
+    return rho.reshape(state.q ** len(axes), -1)
+
+
+def _random_state(q: int, n: int, seed: int, strided: bool) -> StateVector:
+    """A random complex state, not a graph state; strided amplitudes are a view."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=2 * q**n) + 1j * rng.normal(size=2 * q**n)
+    pick = slice(None, None, 2) if strided else slice(q**n)
+    sv = StateVector(q, n, (raw / np.linalg.norm(raw[pick]))[pick])
+    assert sv.amplitudes.flags.c_contiguous != strided
+    return sv
+
+
+# (q, n, seed, strided amplitudes) and a subset: unsorted, repeated, with gaps
+RANDOM_REDUCTIONS = [
+    ((5, 3, 21, False), [1, 3]),
+    ((2, 6, 1, False), [5, 1, 3]),
+    ((2, 5, 2, True), [4, 4, 2]),
+    ((2, 4, 3, False), [2, 3]),
+    ((3, 5, 4, False), [3, 1, 5, 1]),
+    ((3, 4, 5, True), [4, 3, 2, 1]),  # every qudit: rho = |psi><psi|
+    ((5, 4, 6, True), [2]),
+    ((5, 4, 7, False), [4, 1, 2]),
+    ((7, 4, 8, True), [3, 1, 3]),
+    ((7, 3, 9, False), [2, 3]),
+]
+
+
 def test_reductions_are_hermitian_with_unit_trace(phi62):
-    rng = np.random.default_rng(21)
-    raw = rng.normal(size=125) + 1j * rng.normal(size=125)
-    random_state = StateVector(5, 3, raw, normalize=True)
-    for state, subset in ((phi62, [2, 4]), (phi62, [1, 3, 6]), (random_state, [1, 3])):
+    cases = [(phi62, [2, 4]), (phi62, [1, 3, 6])]
+    cases += [(_random_state(*spec), subset) for spec, subset in RANDOM_REDUCTIONS]
+    for state, subset in cases:
         rho = reduced_density(state, subset)
-        assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-15, (state, subset)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12), (state, subset)
+        want = _partial_trace(state, subset)
+        assert np.max(np.abs(rho - want)) < 1e-12, (state, subset)
+
+
+# ---------------------------------------------------------------------------
+# the oracle against the sweep and against its definition
+# ---------------------------------------------------------------------------
+
+def _uniformity_by_definition(state: StateVector) -> int:
+    """Every subset of every size, in ascending order, by the reference trace."""
+    for size in range(1, state.n // 2 + 1):
+        for subset in combinations(range(1, state.n + 1), size):
+            if not is_maximally_mixed(_partial_trace(state, subset)):
+                return size - 1
+    return state.n // 2
+
+
+@st.composite
+def oracle_adjacencies(draw, p: int):
+    """Random symmetric zero-diagonal Gamma over GF(p) with q^n <= 2e4.
+
+    One in three has a planted isolated vertex, so k = 0.
+    """
+    n = draw(st.integers(2, {2: 14, 3: 8, 5: 6, 7: 5}[p]))
+    pairs = n * (n - 1) // 2
+    upper = np.zeros((n, n), dtype=np.int64)
+    upper[np.triu_indices(n, k=1)] = draw(
+        st.lists(st.integers(0, p - 1), min_size=pairs, max_size=pairs)
+    )
+    gamma = upper + upper.T
+    isolated = draw(st.integers(0, 3 * n - 1))
+    if isolated < n:
+        gamma[isolated, :] = gamma[:, isolated] = 0
+    return gamma
+
+
+def _mds_gamma(p: int, n: int, k: int) -> np.ndarray:
+    return bipartite_adjacency(mds_code(PrimeField(p), n, k)).gamma.entries
+
+
+def _isolated(gamma: np.ndarray, vertex: int) -> np.ndarray:
+    gamma = gamma.copy()
+    gamma[vertex, :] = gamma[:, vertex] = 0
+    return gamma
+
+
+def _check_oracle(gamma: np.ndarray, p: int) -> None:
+    adj = Adjacency(MatrixGF(PrimeField(p), gamma))
+    state = graph_state(adj)
+    k = uniformity_by_oracle(state)
+    assert k == uniformity_index(adj)
+    assert k == _uniformity_by_definition(state)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@given(data=st.data())
+@settings(max_examples=25)
+def test_oracle_matches_the_sweep_and_the_definition(p, data):
+    _check_oracle(data.draw(oracle_adjacencies(p)), p)
+
+
+@pytest.mark.parametrize(
+    "gamma, p",
+    [
+        (_mds_gamma(3, 4, 2), 3),  # AME, even n: only the half of the top size holding qudit 1
+        (_mds_gamma(5, 5, 2), 5),  # AME, odd n
+        (_isolated(_mds_gamma(5, 6, 2), 3), 5),  # k = 0 though qudit 1 is not isolated
+        (_isolated(_mds_gamma(5, 5, 2), 0), 5),  # k = 0, odd n, qudit 1 isolated
+    ],
+)
+def test_oracle_on_planted_instances(gamma, p):
+    _check_oracle(gamma, p)
