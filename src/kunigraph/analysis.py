@@ -164,15 +164,6 @@ def ame_support_check(
         got = uniformity_by_oracle(state)
         if got != target:
             raise ValueError(f"state {name!r} is {got}-uniform, not AME (k={target})")
-    return support_count_report(base, hier, labels)
-
-
-def support_count_report(
-    base: StateVector,
-    hier: StateVector,
-    labels: tuple[str, str] = ("base", "hierarchy"),
-) -> SloccReport:
-    """The support-count report of ame_support_check, for a pair already verified AME."""
     sb = support_count(base)
     sh = support_count(hier)
     distinguished = sb != sh

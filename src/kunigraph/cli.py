@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import rank_spectrum_check, rank_split_check, support_count_report
+from .analysis import ame_support_check, rank_spectrum_check, rank_split_check
 from .codes import dual_code, min_distance
 from .dense import (
     StateVector,
@@ -266,14 +266,10 @@ def cmd_slocc(args) -> tuple[dict, int]:
     if not reports:
         reports.append(rank_spectrum_check(base_state, hier_state, labels=labels).to_json())
     if n % 2 == 1:
-        target = n // 2
-        # the oracle runs once per state here, so the report skips the
-        # recheck that ame_support_check makes for library callers
-        if (
-            uniformity_by_oracle(base_state) == target
-            and uniformity_by_oracle(hier_state) == target
-        ):
-            reports.append(support_count_report(base_state, hier_state, labels=labels).to_json())
+        try:
+            reports.append(ame_support_check(base_state, hier_state, labels=labels).to_json())
+        except ValueError:  # a state that is not AME: no support report
+            pass
     verdicts = [r["verdict"] for r in reports]
     overall = "distinguished" if any(v == "distinguished" for v in verdicts) else verdicts[-1]
     result = {

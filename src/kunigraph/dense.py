@@ -7,10 +7,12 @@ local X/Z/Fourier gates, the hierarchy operator, partial traces, ranks,
 and support counts.
 
 The uniformity oracle checks reductions literally, one Gram product
-rho_S = M M^H per subset, and saves work only through exact identities:
-it tries sizes from n // 2 down and stops at the first size whose
-reductions are all maximally mixed, and at |S| = n/2 it checks only the
-subsets holding qudit 1, since rho_S and rho_{S^c} share their spectrum.
+rho_S = M M^H per subset, and saves work only through exact identities.
+Maximal mixing passes down to subsets (a partial trace of I/d is again
+maximally mixed) and its failure passes up to supersets, so one prefix
+{1, ..., s} per size bounds k from above and one full size confirms it;
+and at |S| = n/2 it checks only the subsets holding qudit 1, since rho_S
+and rho_{S^c} of a pure state share their spectrum.
 
 Index convention: basis index = base-q digits of the qudit values with
 qudit 1 the most significant digit.
@@ -19,7 +21,7 @@ qudit 1 the most significant digit.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations, product as iter_product
+from itertools import chain, combinations, islice, product as iter_product
 
 import numpy as np
 
@@ -341,24 +343,53 @@ def is_maximally_mixed(rho: np.ndarray) -> bool:
     return bool(np.max(np.abs(rho - np.eye(d) / d)) < MIX_TOL)
 
 
+def _all_maximally_mixed(state: StateVector, size: int) -> bool:
+    """Every reduction to size qudits maximally mixed, save the prefix {1, ..., size}.
+
+    The caller has checked the prefix, the first subset in combinations
+    order. At |S| = n/2 only the subsets holding qudit 1 are checked. The
+    others are their complements, and rho_S and rho_{S^c} of a pure state
+    have the same spectrum, so when their dimensions are equal one is I/d
+    exactly when the other is.
+    """
+    n = state.n
+    subsets = combinations(range(1, n + 1), size)
+    if 2 * size == n:
+        subsets = (s for s in subsets if s[0] == 1)
+    return all(is_maximally_mixed(reduced_density(state, s)) for s in islice(subsets, 1, None))
+
+
 def uniformity_by_oracle(state: StateVector) -> int:
     """Largest k with every reduction to at most k qudits maximally mixed.
 
-    Sizes are tried from n // 2 down, and the first size whose reductions
-    are all maximally mixed is k: a partial trace of I/d is again maximally
-    mixed, so every smaller size passes as well. At |S| = n/2 only the
-    subsets holding qudit 1 are checked. The others are their complements,
-    and rho_S and rho_{S^c} of a pure state have the same spectrum, so when
-    their dimensions are equal one is I/d exactly when the other is.
+    Two exact facts order the work. If rho_S is I/d, so is every partial
+    trace of it, so one size whose reductions all pass gives k >= size. If
+    rho_S is not I/d, no superset of S within n/2 qudits is, so one failing
+    reduction gives k < |S|. The oracle first checks the prefix
+    {1, ..., s} of each size from 1 up (it needs no transposed copy); the
+    largest size m below the first failing prefix bounds k <= m. It then
+    checks every subset of size m: if all pass, k = m. An AME state thus
+    skips all but one reduction of each smaller size, and a state of low k
+    stops near k, as a check from 1 up does. Otherwise k < m, and sizes are
+    checked in full from 1 up until one fails.
+
+    Both facts hold in exact arithmetic. is_maximally_mixed compares
+    entries with MIX_TOL, so the result equals the check of every subset
+    of every size only for states whose error is far below MIX_TOL / d, as
+    the graph and code states built here are.
     """
     n = state.n
-    for size in range(n // 2, 0, -1):
-        subsets = combinations(range(1, n + 1), size)
-        if 2 * size == n:
-            subsets = (s for s in subsets if s[0] == 1)
-        if all(is_maximally_mixed(reduced_density(state, s)) for s in subsets):
-            return size
-    return 0
+    m = next(
+        (s - 1 for s in range(1, n // 2 + 1)
+         if not is_maximally_mixed(reduced_density(state, range(1, s + 1)))),
+        n // 2,
+    )
+    if m == 0 or _all_maximally_mixed(state, m):
+        return m
+    for size in range(1, m):
+        if not _all_maximally_mixed(state, size):
+            return size - 1
+    return m - 1
 
 
 def rank_of_reduction(state: StateVector, subset) -> int:

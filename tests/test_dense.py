@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kunigraph import dense
 from kunigraph.codes import LinearCode, mds_code
 from kunigraph.dense import (
     SUPPORT_TOL,
@@ -478,7 +480,7 @@ def test_reductions_are_hermitian_with_unit_trace(phi62):
     cases += [(_random_state(*spec), subset) for spec, subset in RANDOM_REDUCTIONS]
     for state, subset in cases:
         rho = reduced_density(state, subset)
-        assert np.max(np.abs(rho - rho.conj().T)) < 1e-15, (state, subset)
+        assert np.max(np.abs(rho - rho.conj().T)) < 64 * np.finfo(float).eps, (state, subset)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12), (state, subset)
         want = _partial_trace(state, subset)
         assert np.max(np.abs(rho - want)) < 1e-12, (state, subset)
@@ -552,3 +554,28 @@ def test_oracle_matches_the_sweep_and_the_definition(p, data):
 )
 def test_oracle_on_planted_instances(gamma, p):
     _check_oracle(gamma, p)
+
+
+@pytest.mark.parametrize(
+    "p, n, k, want",
+    [
+        (5, 5, 2, {1: 1, 2: 10}),  # AME, odd n: one prefix below the top size
+        (3, 4, 2, {1: 1, 2: 3}),  # AME, even n: the top-size subsets holding qudit 1
+        (7, 6, 3, {1: 1, 2: 1, 3: 10}),
+        (7, 7, 2, {1: 1, 2: 21, 3: 1}),  # k = n/2 - 1: one failing prefix past k
+        (3, 4, 1, {1: 4, 2: 1}),  # low k: no reduction past size k + 1
+        (5, 6, 1, {1: 6, 2: 1}),
+        (7, 7, 1, {1: 7, 2: 1}),
+    ],
+)
+def test_oracle_reductions_per_size(monkeypatch, p, n, k, want):
+    state = graph_state(bipartite_adjacency(mds_code(PrimeField(p), n, k)))
+    sizes = Counter()
+
+    def counted(st, subset):
+        sizes[len(set(subset))] += 1
+        return reduced_density(st, subset)
+
+    monkeypatch.setattr(dense, "reduced_density", counted)
+    assert uniformity_by_oracle(state) == k
+    assert sizes == Counter(want)
