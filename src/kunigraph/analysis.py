@@ -58,14 +58,24 @@ class SloccReport:
         return payload
 
 
+def _complement(n: int, subset: tuple[int, ...]) -> tuple[int, ...]:
+    """S^c, sorted. rho_S and rho_{S^c} of a pure state share their nonzero
+    spectrum, so the callers rank one subset of each complementary pair."""
+    return tuple(sorted(set(range(1, n + 1)).difference(subset)))
+
+
 def rank_spectrum(state: StateVector, max_size: int | None = None) -> RankSpectrum:
-    """Exact rank map over all subsets up to floor(n/2), lexicographic."""
+    """Exact rank map over all subsets up to floor(n/2), lexicographic.
+
+    A subset whose complement is already mapped (|S| = n/2) takes its rank.
+    """
     if max_size is None:
         max_size = state.n // 2
     ranks = {}
     for size in range(1, max_size + 1):
         for subset in combinations(range(1, state.n + 1), size):
-            ranks[subset] = rank_of_reduction(state, subset)
+            rank = ranks.get(_complement(state.n, subset))
+            ranks[subset] = rank_of_reduction(state, subset) if rank is None else rank
     return RankSpectrum(state.n, state.q, ranks)
 
 
@@ -103,6 +113,7 @@ def rank_split_check(
     k_star from the last n_star. The base state's rank is capped at q^k
     everywhere, while the level-1 state reaches q^{k + k_star} on these
     subsets, so any strict rank difference separates the SLOCC classes.
+    When the family holds a subset's complement, the pair is ranked once.
     """
     n, q = base.n, base.q
     if (hier.n, hier.q) != (n, q):
@@ -117,8 +128,10 @@ def rank_split_check(
     for s1 in combinations(range(1, n - n_star + 1), k):
         for s2 in combinations(range(n - n_star + 1, n + 1), k_star):
             subset = s1 + s2
-            rb = rank_of_reduction(base, subset)
-            rh = rank_of_reduction(hier, subset)
+            rb, rh = ranks.get(_complement(n, subset)) or (
+                rank_of_reduction(base, subset),
+                rank_of_reduction(hier, subset),
+            )
             ranks[subset] = (rb, rh)
             checked += 1
             if rb != rh:

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -313,7 +314,9 @@ def _add_random_block_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized parts")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: parse_args leaves it unchanged, so main reuses it."""
     parser = argparse.ArgumentParser(
         prog="kunigraph",
         description="Construct and verify k-uniform and AME qudit graph states.",
@@ -401,8 +404,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     config = _config_from(args)
     try:
         result, status = _COMMANDS[args.subcommand](args)

@@ -10,6 +10,7 @@ structural route must stay independent of the routes it is checked against.
 from __future__ import annotations
 
 from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 
@@ -102,62 +103,106 @@ def enumerate_codewords(code: LinearCode) -> np.ndarray:
     return (code.messages() @ code.generator.entries) % code.field.p
 
 
-def _information_set_generators(code: LinearCode) -> np.ndarray:
-    """An (m, k, n) stack of generators, each systematic on its own information set.
+def _information_set_generators(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+    """An (m, k, n) stack of generators of the code, and the rank r_j of each set.
 
-    The m information sets are disjoint and found greedily. The first is
-    the identity block of G = [I | A]. Each further one is the pivot set of
-    one row reduction of G with the columns no set uses yet placed first,
-    and the search ends once those columns have rank below k.
+    Set j is found greedily: one row reduction of G with the columns no
+    earlier set uses placed first. If those free columns have rank r >= 1,
+    the r pivots that land among them form the set R_j, disjoint from the
+    earlier ones, and the reduced generator is systematic on R_j plus
+    k - r columns of earlier sets. The first set is the identity block of
+    G = [I | A], with r = k. Sets of rank k are information sets; the
+    ranks never increase, so they come first. The search ends once every
+    free column is zero.
     """
     k, n = code.k, code.n
     gen = code.generator.entries
-    gens = [gen]
+    gens, ranks = [gen], [k]
     used = np.arange(n) < k
-    while (free := n - int(np.count_nonzero(used))) >= k:
+    while free := n - int(np.count_nonzero(used)):
         order = np.argsort(used, kind="stable")
         reduced = row_reduce(gen[:, order][None], code.field)[0][0]
-        if not reduced[-1, :free].any():
+        pivots = np.argmax(reduced != 0, axis=1)  # ascending; G has rank k
+        rank = int(np.count_nonzero(pivots < free))
+        if not rank:
             break
         systematic = np.empty_like(reduced)
         systematic[:, order] = reduced
-        used[order[np.argmax(reduced != 0, axis=1)]] = True
+        used[order[pivots]] = True  # the pivots past the first rank were used already
         gens.append(systematic)
-    return np.stack(gens)
+        ranks.append(rank)
+    return np.stack(gens), np.array(ranks)
+
+
+def _messages(q: int, k: int, t: int) -> int:
+    """Messages of support size t whose first nonzero entry is 1."""
+    return comb(k, t) * (q - 1) ** (t - 1)
+
+
+def _lightest(gens: np.ndarray, t: int, q: int) -> int:
+    """Least weight of the words the generators encode from the level-t messages."""
+    _, k, n = gens.shape
+    best = n
+    patterns = (q - 1) ** (t - 1)
+    digit_powers = (q - 1) ** np.arange(t - 2, -1, -1, dtype=np.int64)
+    batch = max(1, ENCODE_CHUNK // (len(gens) * n * t))
+    batch_patterns = min(patterns, batch)
+    supports = combinations(range(k), t)
+    while chunk := list(islice(supports, max(1, batch // patterns))):
+        # one (t, m * supports * n) block: every pattern times every support's rows
+        rows = gens[:, chunk].transpose(2, 0, 1, 3).reshape(t, -1)
+        for start in range(0, patterns, batch_patterns):
+            index = np.arange(start, min(start + batch_patterns, patterns))
+            values = np.ones((index.size, t), dtype=np.int64)
+            values[:, 1:] += index[:, None] // digit_powers % (q - 1)
+            words = (values @ rows % q).reshape(-1, n)
+            best = min(best, int(np.count_nonzero(words, axis=1).min()))
+    return best
 
 
 def min_distance(code: LinearCode) -> int:
     """Minimum Hamming weight over the nonzero codewords, exactly.
 
-    Information-set enumeration (Brouwer-Zimmermann): with m generators,
-    each systematic on one of m disjoint information sets, level t encodes
-    with every generator each message of support size t whose first
-    nonzero entry is 1 (a scalar multiple of a codeword has its weight). A
-    codeword not met by the end of level t has weight at least t + 1 on
-    every information set, so at least m(t + 1) in all. The search stops
+    Information-set enumeration (Brouwer-Zimmermann, with Zimmermann's
+    bound for sets of rank below k). Generator j of
+    _information_set_generators is systematic on k columns: its set R_j
+    of rank r_j and k - r_j columns of earlier sets. Level t encodes, with
+    a generator, each message of support size t whose first nonzero entry
+    is 1 (a scalar multiple of a codeword has its weight). A codeword that
+    generator j did not meet in levels 1..t has weight at least t + 1 on
+    its k columns, so at least t + 1 - (k - r_j) on R_j. The R_j are
+    disjoint, so a codeword no generator run so far met weighs at least
+    LB(t) = sum over them of max(0, t + 1 - (k - r_j)), which is m(t + 1)
+    for m information sets (r_j = k).
+
+    The levels run with the m information sets, and the search stops
     after the first level t whose best weight is <= m(t + 1), or at t = k,
-    when every codeword has been met. The q^k enumeration guard applies.
+    when every codeword has been met. Before it goes on to level t + 1, it
+    takes the fewest sets of rank below k whose LB(t) reaches the best
+    weight, if running their levels 1..t costs no more messages than level
+    t + 1 would: they then end the search at level t. So it never encodes
+    more messages than the search on the information sets alone. The q^k
+    enumeration guard applies.
     """
     code._guard()
     q, k = code.field.p, code.k
-    gens = _information_set_generators(code)
+    gens, ranks = _information_set_generators(code)
+    full = int(np.count_nonzero(ranks == k))
     best = code.n
     for t in range(1, k + 1):
-        patterns = (q - 1) ** (t - 1)
-        digit_powers = (q - 1) ** np.arange(t - 2, -1, -1, dtype=np.int64)
-        batch = max(1, ENCODE_CHUNK // (len(gens) * code.n * t))
-        batch_patterns = min(patterns, batch)
-        supports = combinations(range(k), t)
-        while chunk := list(islice(supports, max(1, batch // patterns))):
-            # one (t, m * supports * n) block: every pattern times every support's rows
-            rows = gens[:, chunk].transpose(2, 0, 1, 3).reshape(t, -1)
-            for start in range(0, patterns, batch_patterns):
-                index = np.arange(start, min(start + batch_patterns, patterns))
-                values = np.ones((index.size, t), dtype=np.int64)
-                values[:, 1:] += index[:, None] // digit_powers % (q - 1)
-                words = (values @ rows % q).reshape(-1, code.n)
-                best = min(best, int(np.count_nonzero(words, axis=1).min()))
-        if best <= len(gens) * (t + 1):
+        best = min(best, _lightest(gens[:full], t, q))
+        bound = full * (t + 1)
+        if best <= bound or t == k:
+            break
+        # the fewest sets of lower rank whose LB(t) reaches best, if any
+        for extra, rank in enumerate(ranks[full:].tolist(), start=1):
+            bound += max(0, t + 1 - k + rank)
+            if bound >= best:
+                break
+        catch_up = sum(_messages(q, k, s) for s in range(1, t + 1))
+        if bound >= best and extra * catch_up <= full * _messages(q, k, t + 1):
+            for s in range(1, t + 1):
+                best = min(best, _lightest(gens[full : full + extra], s, q))
             break
     return best
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kunigraph import dense
 from kunigraph.analysis import (
     ame_support_check,
     rank_spectrum,
@@ -8,8 +9,39 @@ from kunigraph.analysis import (
     rank_split_check,
 )
 from kunigraph.codes import LinearCode
-from kunigraph.dense import apply_fourier, apply_x, apply_z, state_from_code
+from kunigraph.dense import (
+    apply_fourier,
+    apply_x,
+    apply_z,
+    graph_state,
+    rank_of_reduction,
+    state_from_code,
+)
+from kunigraph.field import PrimeField
+from kunigraph.graph import Adjacency
 from kunigraph.matrix import MatrixGF
+
+
+def count_reductions(monkeypatch):
+    """Sizes of the subsets reduced_density is called on from now on."""
+    sizes = []
+    reduce = dense.reduced_density
+
+    def counted(state, subset):
+        sizes.append(len(subset))
+        return reduce(state, subset)
+
+    monkeypatch.setattr(dense, "reduced_density", counted)
+    return sizes
+
+
+@pytest.fixture(scope="module")
+def path_state():
+    """A GF(5) graph state on 6 qudits whose triples have ranks 5, 25 and 125."""
+    gamma = np.zeros((6, 6), dtype=np.int64)
+    for i, j, w in ((0, 1, 1), (1, 2, 2), (2, 5, 1), (3, 4, 1)):
+        gamma[i, j] = gamma[j, i] = w
+    return graph_state(Adjacency(MatrixGF(PrimeField(5), gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +83,18 @@ def test_spectrum_ranks_and_equality(phi50):
     assert spec != rank_spectrum(phi50, max_size=1)
 
 
+def test_spectrum_ranks_each_complementary_pair_once(monkeypatch, phi60, path_state):
+    sizes = count_reductions(monkeypatch)
+    rank_spectrum_check(phi60, path_state)
+    # per state: 6 singles, 15 pairs and one triple of each of the 10 pairs
+    assert [sizes.count(size) for size in (1, 2, 3)] == [12, 30, 20]
+    monkeypatch.undo()
+    spec = rank_spectrum(path_state)
+    assert set(spec.by_subset.values()) == {1, 5, 25, 125}  # {4, 5} is an edge alone
+    for subset, rank in spec.by_subset.items():
+        assert rank == rank_of_reduction(path_state, subset), subset
+
+
 def test_rank_spectrum_is_lu_invariant(phi50):
     rng = np.random.default_rng(13)
     rotated = phi50
@@ -78,6 +122,23 @@ def test_base_and_level1_states_are_distinguished(phi60, phi62):
     assert report.ranks[(1, 2, 5)] == (25, 125)
     # every split subset separates this pair
     assert len(report.distinguishing_subsets) == 12
+
+
+def test_split_check_ranks_each_complementary_pair_once(monkeypatch, phi60, phi62, path_state):
+    # n = 6, n_star = 2, k = 2, k_star = 1: the 12 split subsets form 6
+    # complementary pairs, such as {1, 2, 5} and {3, 4, 6}
+    sizes = count_reductions(monkeypatch)
+    report = rank_split_check(phi60, phi62, 2, 2, 1)
+    assert sizes == [3] * 12
+    assert len(report.ranks) == report.subsets_checked == 12
+    monkeypatch.undo()
+    report = rank_split_check(phi60, path_state, 2, 2, 1)
+    assert {pair[1] for pair in report.ranks.values()} == {5, 25, 125}
+    for subset, pair in report.ranks.items():
+        assert pair == (
+            rank_of_reduction(phi60, subset),
+            rank_of_reduction(path_state, subset),
+        ), subset
 
 
 def test_identical_states_are_not_distinguished(phi60):

@@ -287,6 +287,24 @@ def test_slocc_runs_the_dense_oracle_once_per_state(capsys, monkeypatch):
     assert doc["result"]["reports"][-1]["supports"] == [25, 125]
 
 
+def test_slocc_ranks_each_complementary_pair_once(capsys, monkeypatch):
+    # the 12 split subsets of 6 qudits form 6 complementary pairs per state
+    from kunigraph import dense
+
+    calls = []
+    reduce = dense.reduced_density
+
+    def counted(state, subset):
+        calls.append(tuple(subset))
+        return reduce(state, subset)
+
+    monkeypatch.setattr(dense, "reduced_density", counted)
+    status, doc = run_json(capsys, "slocc", "--p", "5", "--pair", "6:2", "6:2+2:1")
+    assert status == 0
+    assert len(calls) == 12
+    assert len(doc["result"]["reports"][0]["ranks"]) == 12
+
+
 def test_slocc_rejects_states_on_different_registers(capsys):
     status, out = run_cli(capsys, "slocc", "--p", "5", "--pair", "4:2", "6:2")
     assert status == 2
@@ -409,6 +427,37 @@ def test_each_command_runs_one_mds_test_per_code_it_builds(
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_consecutive_commands_echo_only_their_own_flags(tmp_path, capsys):
+    # main reuses one parser, so no flag of one call may reach the next
+    out = str(tmp_path / "b")
+    status, doc = run_json(
+        capsys, "build", "--p", "5", "--n", "6", "--k", "2", "--out", out,
+        "--with-state", "--sparse-state", "--b-mode", "random", "--seed", "3",
+    )
+    assert status == 0
+    assert doc["config"] == cli.RunConfig(
+        "build", p=5, levels="6:2", b_mode="random", seed=3, out=out,
+        with_state=True, sparse_state=True,
+    ).to_json()
+    status, doc = run_json(capsys, "verify", "--p", "7", "--n", "5", "--k", "2",
+                           "--method", "structural")
+    assert status == 0
+    assert doc["config"] == cli.RunConfig(
+        "verify", p=7, levels="5:2", method="structural"
+    ).to_json()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "cutrank"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    status, doc = run_json(capsys, "slocc", "--p", "5", "--pair", "5:2", "5:2+2:1")
+    assert status == 0
+    assert doc["config"] == cli.RunConfig("slocc", p=5, pair=("5:2", "5:2+2:1")).to_json()
+
 
 def test_identical_invocations_are_byte_identical(tmp_path, capsys):
     argv = ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "all",

@@ -1,9 +1,12 @@
+from functools import cache
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kunigraph import codes
 from kunigraph.codes import (
     ENUMERATION_GUARD,
     LinearCode,
@@ -23,17 +26,37 @@ from kunigraph.matrix import MatrixGF
 S5_GAMMA3 = [[1, 1, 1, 1, 1], [1, 2, 3, 4], [1, 3, 4], [1, 4], [1]]
 
 
+@cache
+def nonzero_messages(q, k):
+    return np.array(list(product(range(q), repeat=k)))[1:]
+
+
 def brute_min_weight(code):
     """Minimum codeword weight by direct message enumeration (oracle)."""
     q = code.field.p
-    gen = code.generator.entries
-    best = code.n
-    for msg in product(range(q), repeat=code.k):
-        if not any(msg):
-            continue
-        word = (np.array(msg) @ gen) % q
-        best = min(best, int(np.count_nonzero(word)))
-    return best
+    words = nonzero_messages(q, code.k) @ code.generator.entries % q
+    return int(np.count_nonzero(words, axis=1).min())
+
+
+def encoding_passes(monkeypatch, code):
+    """min_distance(code), and (generators, level) for each level it encoded."""
+    passes = []
+    lightest = codes._lightest
+
+    def counted(gens, t, q):
+        passes.append((len(gens), t))
+        return lightest(gens, t, q)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(codes, "_lightest", counted)
+        d = min_distance(code)
+    return d, passes
+
+
+def messages_encoded(code, passes):
+    """Messages of support t with first nonzero entry 1, times the generators, summed."""
+    q, k = code.field.p, code.k
+    return sum(sets * comb(k, t) * (q - 1) ** (t - 1) for sets, t in passes)
 
 
 # ---------------------------------------------------------------------------
@@ -164,31 +187,152 @@ def test_min_distance_matches_brute_force_on_planted_codes(code):
     assert min_distance(code) == brute_min_weight(code)
 
 
-def test_min_distance_needs_the_level_at_the_stopping_bound():
-    # Two disjoint information sets, and every level-1 word weighs 5 or more.
-    # After level 1 an unseen word is only known to weigh >= 2 * (1 + 1) = 4,
-    # so the search must go on; one that stopped a level early, at
-    # best <= 2 * (1 + 2), would report 5. The weight-4 words appear at level 2.
+def test_min_distance_needs_the_level_at_the_stopping_bound(monkeypatch):
+    # Two information sets and a set of rank 2, and every level-1 word of the
+    # information sets weighs 5 or more. After level 1 an unseen word is only
+    # known to weigh >= 2 * (1 + 1) = 4 on them, so the search must go on; one
+    # that stopped a level early, at best <= 2 * (1 + 2), would report 5. The
+    # rank-2 set adds max(0, 2 - (3 - 2)) = 1, which reaches 5: the search
+    # catches that set up on level 1, where a row of its generator weighs 4.
     code = LinearCode(
         MatrixGF(PrimeField(3), [[1, 2, 0, 1, 2], [2, 0, 2, 2, 1], [1, 2, 1, 0, 1]])
     )
-    gens = _information_set_generators(code)
-    assert len(gens) == 2
-    assert np.count_nonzero(gens, axis=2).min() == 5
+    gens, ranks = _information_set_generators(code)
+    assert ranks.tolist() == [3, 3, 2]
+    assert np.count_nonzero(gens[:2], axis=2).min() == 5
+    assert np.count_nonzero(gens[2], axis=1).min() == 4
     assert brute_min_weight(code) == 4
-    assert min_distance(code) == 4
+    assert encoding_passes(monkeypatch, code) == (4, [(2, 1), (1, 1)])
 
 
 def test_information_sets_are_greedy_disjoint_and_systematic():
     # G's columns 4 and 8 are zero and 5, 6 equal column 2, so after {0, 1}
     # the greedy sets are {2, 3} and {5, 7}; what is left, {4, 6, 8}, has rank 1
+    # and gives the set {6}, with the generator systematic on {6} plus column 0
     code = LinearCode(MatrixGF(PrimeField(5), [[1, 1, 0, 1, 1, 2, 0], [1, 2, 0, 1, 1, 3, 0]]))
-    gens = _information_set_generators(code)
-    assert len(gens) == 3
-    for gen, cols in zip(gens, ([0, 1], [2, 3], [5, 7])):
+    gens, ranks = _information_set_generators(code)
+    assert len(gens) == 4
+    assert ranks.tolist() == [2, 2, 2, 1]
+    for gen, cols in zip(gens, ([0, 1], [2, 3], [5, 7], [6, 0])):
         assert np.array_equal(gen[:, cols], np.eye(code.k, dtype=np.int64))
         # the same code: each generator is its own first k columns times [I | A]
         assert np.array_equal(gen[:, : code.k] @ code.generator.entries % 5, gen)
+        assert MatrixGF(PrimeField(5), gen).rank() == code.k
+
+
+def test_partial_sets_are_disjoint_and_systematic():
+    # GF(3), n = 7, k = 4: after the identity block the free columns 4, 5, 6
+    # have rank 2 and give the set {4, 5}; column 6 then gives {6}
+    code = LinearCode(MatrixGF(PrimeField(3), [[0, 1, 2], [0, 2, 1], [2, 0, 2], [2, 2, 0]]))
+    gens, ranks = _information_set_generators(code)
+    assert ranks.tolist() == [4, 2, 1]
+    # each set R_j comes first, then k - r_j columns of earlier sets
+    for gen, cols in zip(gens, ([0, 1, 2, 3], [4, 5, 0, 1], [6, 0, 1, 3])):
+        assert np.array_equal(gen[:, cols], np.eye(code.k, dtype=np.int64))
+        assert np.array_equal(gen[:, : code.k] @ code.generator.entries % 3, gen)
+
+
+def test_a_partial_set_is_not_credited_as_a_full_one(monkeypatch):
+    # Rows 1 and 2 of A sum to zero mod 3, so (1, 1, 0, 0) encodes a word of
+    # weight 2, met at level 2. Every row of G weighs 3 and the sets have ranks
+    # 4, 2, 1. After level 1 a set of rank 2 adds max(0, 2 - (4 - 2)) = 0, so
+    # the search must go on; crediting it with t + 1 = 2 would reach 1 * 2 + 2
+    # = 4 >= 3, catch it up on level 1, where no word weighs 2, and report 3.
+    code = LinearCode(MatrixGF(PrimeField(3), [[0, 1, 2], [0, 2, 1], [2, 0, 2], [2, 2, 0]]))
+    assert _information_set_generators(code)[1].tolist() == [4, 2, 1]
+    assert brute_min_weight(code) == 2
+    assert encoding_passes(monkeypatch, code) == (2, [(1, 1), (1, 2)])
+
+
+def test_rank_deficient_set_ends_the_gf13_11_6_dual_at_level_3(monkeypatch):
+    # the [11, 6] dual of the GF(13) [11, 5] MDS code has one information set;
+    # its five spare columns have rank 5 and add max(0, t + 1 - 1), so
+    # LB(t) = 2t + 1 reaches d = 6 at t = 3, not t = 5
+    dual = dual_code(mds_code(PrimeField(13), 11, 5))
+    assert (dual.n, dual.k) == (11, 6)
+    assert _information_set_generators(dual)[1].tolist() == [6, 5]
+    # levels 1-3 on the information set, then levels 1-3 on the rank-5 set
+    d, passes = encoding_passes(monkeypatch, dual)
+    assert (d, passes) == (6, [(1, 1), (1, 2), (1, 3)] * 2)
+    assert messages_encoded(dual, passes) == 2 * 3066
+    alone = [(1, t) for t in range(1, 6)]  # the information set alone runs to level 5
+    assert messages_encoded(dual, alone) == 153402
+
+
+# (p, n, k) of every code the perfbench corpora verify by the structural route
+CORPUS_SHAPES = [
+    (11, 12, 6), (13, 11, 5), (17, 10, 5), (11, 8, 4), (13, 8, 4), (17, 8, 4),
+    (11, 9, 4), (17, 7, 3), (13, 9, 4), (11, 10, 5), (13, 10, 5), (17, 8, 3),
+    (7, 7, 3), (7, 6, 3), (13, 5, 2), (11, 5, 2), (5, 6, 2), (5, 6, 3), (7, 5, 2),
+    (5, 4, 2), (3, 4, 2), (5, 4, 1), (2, 2, 1), (11, 8, 4), (17, 7, 3),
+]
+
+
+def test_min_distance_never_encodes_more_than_the_information_sets_alone(monkeypatch):
+    # For an MDS code every row of a systematic generator weighs d, so a search
+    # on its m information sets alone stops at the first t with d <= m(t + 1)
+    for p, n, k in CORPUS_SHAPES:
+        code = mds_code(PrimeField(p), n, k)
+        for c in (code, dual_code(code)):
+            d = c.n - c.k + 1
+            m = int(np.count_nonzero(_information_set_generators(c)[1] == c.k))
+            last = next(t for t in range(1, c.k + 1) if d <= m * (t + 1) or t == c.k)
+            got, passes = encoding_passes(monkeypatch, c)
+            assert got == d, (p, c.n, c.k)
+            alone = [(m, t) for t in range(1, last + 1)]
+            assert messages_encoded(c, passes) <= messages_encoded(c, alone)
+
+
+def planted_partial_set(rng, p, k, r, second_set):
+    """A code with k x c columns U V of rank r among its spare columns.
+
+    U (k x r) and V (r x c) each hold an identity block in shuffled rows or
+    columns, so U V has rank exactly r. A is an optional random k x k block,
+    then U V, a zero column and a repeat of one U V column.
+    """
+    u = np.vstack([np.eye(r, dtype=np.int64), rng.integers(0, p, size=(k - r, r))])
+    c = r + int(rng.integers(0, 3))
+    v = np.hstack([np.eye(r, dtype=np.int64), rng.integers(0, p, size=(r, c - r))])
+    low = u[rng.permutation(k)] @ v[:, rng.permutation(c)] % p
+    blocks = [rng.integers(0, p, size=(k, k))] if second_set else []
+    blocks += [low, np.zeros((k, 1), dtype=np.int64), low[:, rng.integers(0, c, size=1)]]
+    return LinearCode(MatrixGF(PrimeField(p), np.hstack(blocks)))
+
+
+def information_sets_alone(code, gens, ranks):
+    """The passes of a search on the information sets only, by brute force."""
+    q, k = code.field.p, code.k
+    full = gens[ranks == k]
+    messages = nonzero_messages(q, k)
+    support = np.count_nonzero(messages, axis=1)
+    best = code.n
+    for t in range(1, k + 1):
+        words = messages[support == t] @ full % q
+        best = min(best, int(np.count_nonzero(words, axis=2).min()))
+        if best <= len(full) * (t + 1):
+            break
+    return [(len(full), level) for level in range(1, t + 1)]
+
+
+def test_min_distance_matches_brute_force_with_partial_sets_of_every_rank(monkeypatch):
+    rng = np.random.default_rng(23)
+    caught_up = 0
+    for p in (2, 3, 5, 7):
+        k = 2
+        while p**k <= 2 * 10**4:
+            for r in range(1, k):
+                for second_set in (False, True):
+                    code = planted_partial_set(rng, p, k, r, second_set)
+                    gens, ranks = _information_set_generators(code)
+                    if not second_set:
+                        assert ranks[1] == r, (p, k, r)
+                    d, passes = encoding_passes(monkeypatch, code)
+                    assert d == brute_min_weight(code), (p, k, r)
+                    alone = information_sets_alone(code, gens, ranks)
+                    assert messages_encoded(code, passes) <= messages_encoded(code, alone)
+                    caught_up += len(passes) > passes[-1][1]  # levels 1..t ran twice
+            k += 1
+    assert caught_up >= 10  # the rank-deficient bound ends many of these searches
 
 
 # ---------------------------------------------------------------------------
