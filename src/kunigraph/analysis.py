@@ -18,15 +18,6 @@ from .dense import StateVector, rank_of_reduction, support_count, uniformity_by_
 
 
 @dataclass(frozen=True)
-class RankSpectrum:
-    """rank(rho_S) for every subset S with |S| <= floor(n/2)."""
-
-    n: int
-    q: int
-    by_subset: dict[tuple[int, ...], int]
-
-
-@dataclass(frozen=True)
 class SloccReport:
     """Outcome of one discrimination test between two states."""
 
@@ -64,19 +55,17 @@ def _complement(n: int, subset: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(set(range(1, n + 1)).difference(subset)))
 
 
-def rank_spectrum(state: StateVector, max_size: int | None = None) -> RankSpectrum:
-    """Exact rank map over all subsets up to floor(n/2), lexicographic.
+def rank_spectrum(state: StateVector) -> dict[tuple[int, ...], int]:
+    """rank(rho_S) for every subset S with |S| <= floor(n/2), lexicographic.
 
     A subset whose complement is already mapped (|S| = n/2) takes its rank.
     """
-    if max_size is None:
-        max_size = state.n // 2
     ranks = {}
-    for size in range(1, max_size + 1):
+    for size in range(1, state.n // 2 + 1):
         for subset in combinations(range(1, state.n + 1), size):
             rank = ranks.get(_complement(state.n, subset))
             ranks[subset] = rank_of_reduction(state, subset) if rank is None else rank
-    return RankSpectrum(state.n, state.q, ranks)
+    return ranks
 
 
 def rank_spectrum_check(
@@ -89,11 +78,11 @@ def rank_spectrum_check(
         raise ValueError("states live on different registers")
     spec_a = rank_spectrum(base)
     spec_b = rank_spectrum(hier)
-    diffs = sorted(s for s in spec_a.by_subset if spec_a.by_subset[s] != spec_b.by_subset[s])
+    diffs = sorted(s for s in spec_a if spec_a[s] != spec_b[s])
     return SloccReport(
         test="rank_spectrum",
         states=labels,
-        subsets_checked=len(spec_a.by_subset),
+        subsets_checked=len(spec_a),
         distinguishing_subsets=tuple(diffs),
         verdict="distinguished" if diffs else "not distinguished",
     )

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import ResourceLimitError, max_exponent
+from .errors import guarded_power
 from .field import PrimeField
 from .matrix import MatrixGF, json_field_and_grid, row_reduce
 
@@ -60,21 +60,11 @@ class LinearCode:
         )
         return MatrixGF(self.field, g)
 
-    def message_count(self) -> int:
-        return self.field.p**self.k
-
-    def _guard(self) -> None:
-        if self.k > max_exponent(self.field.p, ENUMERATION_GUARD):
-            raise ResourceLimitError(
-                f"q^k = {self.field.p}^{self.k} codewords exceeds enumeration guard "
-                f"{ENUMERATION_GUARD}"
-            )
-
     def messages(self) -> np.ndarray:
         """All q^k message vectors, lexicographic, most-significant symbol first."""
-        self._guard()
         q = self.field.p
-        idx = np.arange(self.message_count(), dtype=np.int64)
+        count = guarded_power(q, self.k, ENUMERATION_GUARD, "enumeration guard")
+        idx = np.arange(count, dtype=np.int64)
         powers = q ** np.arange(self.k - 1, -1, -1, dtype=np.int64)
         return (idx[:, None] // powers[None, :]) % q
 
@@ -184,8 +174,8 @@ def min_distance(code: LinearCode) -> int:
     more messages than the search on the information sets alone. The q^k
     enumeration guard applies.
     """
-    code._guard()
     q, k = code.field.p, code.k
+    guarded_power(q, k, ENUMERATION_GUARD, "enumeration guard")
     gens, ranks = _information_set_generators(code)
     full = int(np.count_nonzero(ranks == k))
     best = code.n
@@ -244,7 +234,7 @@ def singleton_gamma(field: PrimeField) -> int:
     best_a1 = field.p
     for g in range(2, field.p):
         if field.is_primitive(g):
-            a1 = field.inv(field.sub(1, g))
+            a1 = field.inv(1 - g)
             if a1 < best_a1:
                 best_a1 = a1
                 best = g
@@ -264,7 +254,7 @@ def singleton_array(field: PrimeField, gamma: int) -> list[list[int]]:
         raise ValueError(f"{g} is not a primitive element of GF({q})")
     a = [0] * (q - 1)  # a[i] holds a_i for 1 <= i <= q-2
     for i in range(1, q - 1):
-        a[i] = field.inv(field.sub(1, field.pow(g, i)))
+        a[i] = field.inv(1 - pow(g, i, q))
     rows = [[1] * q]
     for i in range(1, q):
         row = [1] + [a[i + j - 1] for j in range(1, q - i)]

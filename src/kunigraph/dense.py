@@ -4,7 +4,16 @@ Everything here works directly on amplitude vectors of length q^n, so it
 is independent of the symplectic machinery and serves as ground truth:
 code-superposition states, graph states built by controlled-Z products,
 local X/Z/Fourier gates, the hierarchy operator, partial traces, ranks,
-and support counts.
+and support counts. Every state is refused past STATE_GUARD amplitudes.
+
+The hierarchy operator O of a sub-code [n*, k*] with G* = [I | A*] acts
+on the last n* qudits. Split them into k* message digits a and
+n* - k* digits b; then
+
+    O |a, b> = q^{-k*/2} sum_m omega^{-a.m} |m, m A* + b>,
+
+a Fourier transform over Z_q^{k*} on a followed by a shift of b by the
+codeword tail of m. apply_O does exactly that: one matmul, one gather.
 
 The uniformity oracle checks reductions literally, one Gram product
 rho_S = M M^H per subset, and saves work only through exact identities.
@@ -21,31 +30,19 @@ qudit 1 the most significant digit.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations, islice, product as iter_product
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .codes import LinearCode, enumerate_codewords
-from .errors import ResourceLimitError
+from .errors import guarded_power
 from .graph import Adjacency
 
 STATE_GUARD = 1 << 24  # max q**n amplitudes
-MAX_QUDITS = STATE_GUARD.bit_length() - 1  # past this n, q**n > STATE_GUARD for every q >= 2
 NORM_TOL = 1e-9
 SUPPORT_TOL = 1e-9
 RANK_TOL = 1e-8
 MIX_TOL = 1e-8
-OVERLAP_TOL = 1e-8
-
-
-def _amplitude_count(q: int, n: int) -> int:
-    """q**n, refused before it is formed whenever it would exceed STATE_GUARD."""
-    if q >= 2 and n > MAX_QUDITS:
-        raise ResourceLimitError(f"q^n = {q}^{n} amplitudes exceeds guard {STATE_GUARD}")
-    dim = q**n
-    if dim > STATE_GUARD:
-        raise ResourceLimitError(f"q^n = {dim} amplitudes exceeds guard {STATE_GUARD}")
-    return dim
 
 
 class StateVector:
@@ -53,19 +50,15 @@ class StateVector:
 
     __slots__ = ("q", "n", "amplitudes")
 
-    def __init__(self, q: int, n: int, amplitudes, normalize: bool = False):
-        dim = _amplitude_count(q, n)
+    def __init__(self, q: int, n: int, amplitudes):
+        dim = guarded_power(q, n, STATE_GUARD, "state guard")
         amp = np.asarray(amplitudes, dtype=np.complex128)
         if amp.shape != (dim,):
             raise ValueError(f"amplitude vector must have length {dim}")
         norm = float(np.linalg.norm(amp))
         if not math.isfinite(norm):
             raise ValueError(f"state norm {norm} is not finite")
-        if normalize:
-            if norm == 0.0:
-                raise ValueError("cannot normalize the zero vector")
-            amp = amp / norm
-        elif abs(norm - 1.0) > NORM_TOL:
+        if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         amp.setflags(write=False)
         object.__setattr__(self, "q", int(q))
@@ -86,9 +79,6 @@ class StateVector:
         if (other.q, other.n) != (self.q, self.n):
             raise ValueError("states live on different registers")
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)))
-
-    def equals_up_to_phase(self, other: "StateVector") -> bool:
-        return self.overlap(other) >= 1.0 - OVERLAP_TOL
 
     def to_json(self, sparse: bool = False) -> dict:
         """JSON payload: [re, im] pairs, or [index, re, im] over the support when sparse.
@@ -132,7 +122,7 @@ class StateVector:
             raise ValueError(f"'sparse' must be a boolean, got {sparse!r}")
         if not sparse:
             return cls(q, n, _dense_amplitudes(payload["amplitudes"]))
-        dim = _amplitude_count(q, n)
+        dim = guarded_power(q, n, STATE_GUARD, "state guard")
         amp = np.zeros(dim, dtype=np.complex128)
         if payload["amplitudes"]:
             # checked a column at a time: per-entry Python would dominate a reload
@@ -183,7 +173,7 @@ def state_from_code(code: LinearCode) -> StateVector:
     """Equal superposition of all codewords, amplitude q^{-k/2} each."""
     q = code.field.p
     n = code.n
-    dim = _amplitude_count(q, n)
+    dim = guarded_power(q, n, STATE_GUARD, "state guard")
     words = enumerate_codewords(code)
     powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     idx = words @ powers
@@ -200,7 +190,7 @@ def graph_state(adj: Adjacency) -> StateVector:
     """
     q = adj.field.p
     n = adj.n
-    dim = _amplitude_count(q, n)
+    dim = guarded_power(q, n, STATE_GUARD, "state guard")
     exps = np.zeros((q,) * n, dtype=np.int64)
     products = np.outer(np.arange(q), np.arange(q))
     ent = adj.gamma.entries
@@ -259,12 +249,21 @@ def _check_qudit(state: StateVector, qudit: int) -> None:
 
 
 def apply_O(state: StateVector, n_star: int, sub_code: LinearCode) -> StateVector:
-    """Rewrite the last n_star qudits through the hierarchy operator.
+    """The hierarchy operator of sub_code on the last n_star qudits.
 
-    On basis labels, |i_1 ... i_{n_star}> becomes
-    Z^{-i_1} x ... x Z^{-i_{k_star}} x X^{i_{k_star+1}} x ... x X^{i_{n_star}}
-    applied to the code-superposition state of sub_code; the map extends
-    linearly and is unitary because the q^{n_star} images are orthonormal.
+    Those qudits split into the k* message digits a and the remaining
+    digits b, and
+
+        O |a, b> = q^{-k*/2} sum_m omega^{-a.m} |m, m A* + b>,
+
+    which on basis labels is Z^{-a_1} x ... x Z^{-a_{k*}} x X^{b_1} x ...
+    applied to the code-superposition state of sub_code. The a digits are
+    contracted with the table W[m, a] = omega^{-a.m} / q^{k*/2} in one
+    matmul, giving Y; then out[x, m, c] = Y[x, m, (c - m A*) mod q], one
+    gather. W is a Fourier transform and the gather permutes each m's
+    block, so O is unitary and the result needs no renormalization. W has
+    q^{2k*} entries, so for k* <= n*/2, as at every hierarchy level,
+    nothing formed is larger than the state.
     """
     q = state.q
     if sub_code.field.p != q:
@@ -273,20 +272,22 @@ def apply_O(state: StateVector, n_star: int, sub_code: LinearCode) -> StateVecto
         raise ValueError(f"n_star must lie in [2, {state.n}]")
     if sub_code.n != n_star:
         raise ValueError("sub_code length must equal n_star")
-    k_star = sub_code.k
-    base = state_from_code(sub_code)
-    dim = q**n_star
-    images = np.empty((dim, dim), dtype=np.complex128)
-    for row, labels in enumerate(iter_product(range(q), repeat=n_star)):
-        img = base
-        for pos in range(k_star):
-            img = apply_z(img, pos + 1, -labels[pos])
-        for pos in range(k_star, n_star):
-            img = apply_x(img, pos + 1, labels[pos])
-        images[row] = img.amplitudes
-    mat = state.amplitudes.reshape(q ** (state.n - n_star), dim)
-    out = mat @ images
-    return StateVector(state.q, state.n, out.reshape(-1), normalize=True)
+    k_star, tail = sub_code.k, n_star - sub_code.k
+    words = enumerate_codewords(sub_code)  # row m: (m, m A*)
+    messages, shifts = words[:, :k_star], words[:, k_star:]
+    roots = np.exp(-2j * np.pi * np.arange(q) / q)
+    w = roots[messages @ messages.T % q] / np.sqrt(len(words))
+    y = w @ state.amplitudes.reshape(-1, len(words), q**tail)
+    # source[m, c] = base-q index of (c - m A*) mod q, built one digit at a time
+    source = np.zeros((len(words),) + (1,) * tail, dtype=np.int64)
+    for j in range(tail):
+        shape = [len(words)] + [1] * tail
+        shape[j + 1] = q
+        digit = (np.arange(q) - shifts[:, j, None]) % q * q ** (tail - 1 - j)
+        source = source + digit.reshape(shape)
+    rows = np.arange(len(words))[:, None]
+    out = y[:, rows, source.reshape(len(words), -1)]
+    return StateVector(q, state.n, out.reshape(-1))
 
 
 def hierarchy_state_from_codes(code: LinearCode, sub_code: LinearCode) -> StateVector:

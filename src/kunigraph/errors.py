@@ -1,17 +1,24 @@
-"""Shared exception types and the size test behind the enumeration guards."""
+"""Shared exception types and the size test behind every q^e guard."""
 
 
 class ResourceLimitError(ValueError):
-    """An enumeration or state-vector size guard was exceeded."""
+    """An enumeration, sweep or state-vector size guard was exceeded."""
 
 
-def max_exponent(base: int, limit: int) -> int:
-    """Largest e with base**e <= limit, for base >= 2.
+def guarded_power(base: int, exponent: int, limit: int, guard: str) -> int:
+    """base**exponent, or ResourceLimitError when it exceeds limit.
 
-    Guards compare an exponent with this bound instead of forming the power,
-    which for a huge exponent would take unbounded time and memory.
+    The power is built one factor at a time and refused as soon as it
+    passes limit, so a huge exponent costs at most log2(limit) + 1 steps
+    and no power past the limit is formed. Bases -1, 0 and 1 never grow
+    and are answered at once. guard names the limit in the message, as in
+    "2^25 exceeds state guard 16777216".
     """
-    e, power = 0, base
-    while power <= limit:
-        e, power = e + 1, power * base
-    return e
+    if -1 <= base <= 1:
+        return base**exponent
+    power = 1
+    for _ in range(exponent):
+        power *= base
+        if power > limit:
+            raise ResourceLimitError(f"{base}^{exponent} exceeds {guard} {limit}")
+    return power

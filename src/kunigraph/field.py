@@ -1,4 +1,4 @@
-"""Exact arithmetic in prime fields GF(p)."""
+"""Prime fields GF(p): the modulus check, inverses and primitive elements."""
 
 from __future__ import annotations
 
@@ -41,8 +41,8 @@ def _prime_factors(m: int) -> list[int]:
 class PrimeField:
     """The finite field GF(p) for a prime modulus p.
 
-    Elements are plain ints; every operation returns the canonical
-    representative in [0, p).
+    Elements are plain ints, added and multiplied mod p by the caller;
+    inv returns the canonical representative in [0, p).
     """
 
     __slots__ = ("p", "_inverse")
@@ -70,20 +70,6 @@ class PrimeField:
     def __hash__(self) -> int:
         return hash(("PrimeField", self.p))
 
-    # -- scalar arithmetic on canonical int representatives ---------------
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero element."""
         a %= self.p
@@ -100,14 +86,6 @@ class PrimeField:
             table.setflags(write=False)
             object.__setattr__(self, "_inverse", table)
         return self._inverse
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a % self.p, e, self.p)
 
     # -- primitive elements ------------------------------------------------
 

@@ -65,10 +65,6 @@ class MatrixGF:
 
     # -- elimination ------------------------------------------------------------
 
-    def rank(self) -> int:
-        """Rank over GF(p)."""
-        return int(row_reduce(np.array(self.entries)[None], self.field)[1][0])
-
     def all_square_submatrices_nonsingular(self) -> bool:
         """True iff every t x t submatrix has full rank t.
 

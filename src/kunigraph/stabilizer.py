@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import min_support_sweep
 from .codes import LinearCode
-from .errors import ResourceLimitError, max_exponent
+from .errors import guarded_power
 from .graph import Adjacency, general_adjacency
 from .matrix import MatrixGF
 
@@ -44,13 +44,6 @@ def support_weight(w, adj: Adjacency) -> int:
     return int(np.count_nonzero((w != 0) | (z != 0)))
 
 
-def _check_sweep_size(adj: Adjacency) -> None:
-    if adj.n > max_exponent(adj.field.p, SWEEP_GUARD):
-        raise ResourceLimitError(
-            f"q^n = {adj.field.p}^{adj.n} exponent vectors exceeds sweep guard {SWEEP_GUARD}"
-        )
-
-
 def minimum_support(adj: Adjacency) -> tuple[int, np.ndarray]:
     """Minimum support weight over all nonzero w, with a witness vector.
 
@@ -61,8 +54,8 @@ def minimum_support(adj: Adjacency) -> tuple[int, np.ndarray]:
     first of them (base-q index order), the same w an enumeration of all
     q^n - 1 vectors returns, so reruns agree exactly.
     """
-    _check_sweep_size(adj)
     q = adj.field.p
+    guarded_power(q, adj.n, SWEEP_GUARD, "sweep guard")
     weight, idx = min_support_sweep(adj.gamma.entries, q)
     powers = q ** np.arange(adj.n - 1, -1, -1, dtype=np.int64)
     witness = (idx // powers) % q

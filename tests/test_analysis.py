@@ -50,14 +50,14 @@ def path_state():
 
 def test_spectrum_covers_all_subsets_up_to_half(phi60):
     spec = rank_spectrum(phi60)
-    sizes = {len(s) for s in spec.by_subset}
+    sizes = {len(s) for s in spec}
     assert sizes == {1, 2, 3}
-    assert len(spec.by_subset) == 6 + 15 + 20
+    assert len(spec) == 6 + 15 + 20
 
 
 def test_62_state_triple_ranks_are_capped_by_message_count(phi60):
     spec = rank_spectrum(phi60)
-    for subset, rank in spec.by_subset.items():
+    for subset, rank in spec.items():
         if len(subset) == 3:
             assert rank <= 25, subset
 
@@ -65,22 +65,23 @@ def test_62_state_triple_ranks_are_capped_by_message_count(phi60):
 def test_ghz_every_reduction_has_rank_q(f5):
     ghz = state_from_code(LinearCode(MatrixGF(f5, [[1, 1]])))
     spec = rank_spectrum(ghz)
-    assert set(spec.by_subset.values()) == {5}
+    assert set(spec.values()) == {5}
 
 
 def test_kuni_reductions_have_full_rank(phi60):
     # for a 2-uniform state every reduction of size <= 2 has rank q^|S|
-    spec = rank_spectrum(phi60, max_size=2)
-    for subset, rank in spec.by_subset.items():
-        assert rank == 5 ** len(subset)
+    spec = rank_spectrum(phi60)
+    for subset, rank in spec.items():
+        if len(subset) <= 2:
+            assert rank == 5 ** len(subset)
 
 
 def test_spectrum_ranks_and_equality(phi50):
     spec = rank_spectrum(phi50)
-    assert (spec.n, spec.q) == (5, 5)
-    assert spec.by_subset[(1, 2)] == 25
+    assert spec[(1, 2)] == 25
     assert spec == rank_spectrum(phi50)
-    assert spec != rank_spectrum(phi50, max_size=1)
+    ghz5 = state_from_code(LinearCode(MatrixGF(PrimeField(5), [[1, 1, 1, 1]])))
+    assert spec != rank_spectrum(ghz5)
 
 
 def test_spectrum_ranks_each_complementary_pair_once(monkeypatch, phi60, path_state):
@@ -90,8 +91,8 @@ def test_spectrum_ranks_each_complementary_pair_once(monkeypatch, phi60, path_st
     assert [sizes.count(size) for size in (1, 2, 3)] == [12, 30, 20]
     monkeypatch.undo()
     spec = rank_spectrum(path_state)
-    assert set(spec.by_subset.values()) == {1, 5, 25, 125}  # {4, 5} is an edge alone
-    for subset, rank in spec.by_subset.items():
+    assert set(spec.values()) == {1, 5, 25, 125}  # {4, 5} is an edge alone
+    for subset, rank in spec.items():
         assert rank == rank_of_reduction(path_state, subset), subset
 
 

@@ -21,7 +21,7 @@ from kunigraph.codes import (
 )
 from kunigraph.errors import ResourceLimitError
 from kunigraph.field import PrimeField
-from kunigraph.matrix import MatrixGF
+from kunigraph.matrix import MatrixGF, row_reduce
 
 S5_GAMMA3 = [[1, 1, 1, 1, 1], [1, 2, 3, 4], [1, 3, 4], [1, 4], [1]]
 
@@ -116,7 +116,7 @@ def test_encode_single_message(f5):
 def test_enumeration_guard():
     f2 = PrimeField(2)
     code = LinearCode(MatrixGF.zeros(f2, 25, 1))
-    assert code.message_count() > ENUMERATION_GUARD
+    assert 2**code.k > ENUMERATION_GUARD
     with pytest.raises(ResourceLimitError):
         enumerate_codewords(code)
     with pytest.raises(ResourceLimitError):
@@ -217,7 +217,7 @@ def test_information_sets_are_greedy_disjoint_and_systematic():
         assert np.array_equal(gen[:, cols], np.eye(code.k, dtype=np.int64))
         # the same code: each generator is its own first k columns times [I | A]
         assert np.array_equal(gen[:, : code.k] @ code.generator.entries % 5, gen)
-        assert MatrixGF(PrimeField(5), gen).rank() == code.k
+        assert row_reduce(gen[None].copy(), code.field)[1][0] == code.k
 
 
 def test_partial_sets_are_disjoint_and_systematic():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -41,15 +42,18 @@ from kunigraph.stabilizer import graph_generators, support_weight, uniformity_in
 def test_norm_validation():
     with pytest.raises(ValueError):
         StateVector(2, 1, [1.0, 1.0])
-    sv = StateVector(2, 1, [1.0, 1.0], normalize=True)
-    assert np.allclose(sv.amplitudes, [1 / np.sqrt(2)] * 2)
+    sv = StateVector(2, 1, [2**-0.5, 2**-0.5])
+    assert np.linalg.norm(sv.amplitudes) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-@pytest.mark.parametrize("normalize", [False, True])
-def test_non_finite_norm_is_refused(bad, normalize):
+@pytest.mark.parametrize("via_json", [False, True])
+def test_non_finite_norm_is_refused(bad, via_json):
     with pytest.raises(ValueError, match="not finite"):
-        StateVector(2, 1, [bad, 0.0], normalize=normalize)
+        if via_json:
+            StateVector.from_json({"q": 2, "n": 1, "amplitudes": [[bad.real, bad.imag], [0, 0]]})
+        else:
+            StateVector(2, 1, [bad, 0.0])
 
 
 def test_size_guard():
@@ -302,14 +306,14 @@ def test_code_state_fourier_converts_to_graph_state(phi60, adj60):
     positions = code_to_graph_fourier_positions(6, 2)
     assert positions == [3, 4, 5, 6]
     conv = to_graph_form(phi60, positions)
-    assert conv.equals_up_to_phase(graph_state(adj60))
+    assert conv.overlap(graph_state(adj60)) >= 1 - 1e-8
 
 
 def test_forward_fourier_does_not_reach_the_graph_state(phi60, adj60):
     wrong = phi60
     for pos in (3, 4, 5, 6):
         wrong = apply_fourier(wrong, pos, inverse=False)
-    assert not wrong.equals_up_to_phase(graph_state(adj60))
+    assert wrong.overlap(graph_state(adj60)) < 1 - 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +332,8 @@ def test_level1_state_matches_explicit_formula(f5, code62, phi62):
             for d in (a, b, (a + b) % 5, (a + 2 * b) % 5):
                 head = head * 5 + d
             amp[head * 25 : (head + 1) * 25] += tail.amplitudes
-    manual = StateVector(5, 6, amp, normalize=True)
-    assert manual.equals_up_to_phase(phi62)
+    manual = StateVector(5, 6, amp / np.linalg.norm(amp))
+    assert manual.overlap(phi62) >= 1 - 1e-8
 
 
 def test_level1_states_are_2_uniform(phi62, phi63):
@@ -339,9 +343,9 @@ def test_level1_states_are_2_uniform(phi62, phi63):
 
 def test_level1_states_match_their_graph_states(phi62, phi63, adj62, adj63):
     conv62 = to_graph_form(phi62, code_to_graph_fourier_positions(6, 2, 2, 1))
-    assert conv62.equals_up_to_phase(graph_state(adj62))
+    assert conv62.overlap(graph_state(adj62)) >= 1 - 1e-8
     conv63 = to_graph_form(phi63, code_to_graph_fourier_positions(6, 2, 3, 1))
-    assert conv63.equals_up_to_phase(graph_state(adj63))
+    assert conv63.overlap(graph_state(adj63)) >= 1 - 1e-8
 
 
 def test_fourier_position_patterns():
@@ -360,6 +364,77 @@ def test_operator_images_are_orthonormal(f5):
             images.append(img.amplitudes)
     gram = np.array(images) @ np.array(images).conj().T
     assert np.max(np.abs(gram - np.eye(25))) < 1e-12
+
+
+def _apply_O_by_labels(state: StateVector, n_star: int, sub_code: LinearCode) -> np.ndarray:
+    """O by its definition, one basis label of the last n_star qudits at a time.
+
+    Label (i_1, ..., i_{n_star}) maps to Z^{-i_1} ... Z^{-i_{k*}} X^{i_{k*+1}} ...
+    X^{i_{n_star}} applied to the code state of sub_code; the map extends linearly.
+    """
+    q, k_star = state.q, sub_code.k
+    base = state_from_code(sub_code)
+    mat = state.amplitudes.reshape(-1, q**n_star)
+    out = np.zeros_like(mat)
+    for col, labels in enumerate(product(range(q), repeat=n_star)):
+        img = base
+        for pos in range(k_star):
+            img = apply_z(img, pos + 1, -labels[pos])
+        for pos in range(k_star, n_star):
+            img = apply_x(img, pos + 1, labels[pos])
+        out += np.outer(mat[:, col], img.amplitudes)
+    return out.reshape(-1)
+
+
+@pytest.mark.parametrize(
+    "p, level, sub",
+    [
+        (5, (6, 2), (2, 1)),
+        (5, (6, 2), (4, 2)),
+        (5, (6, 1), (5, 2)),
+        (3, (4, 1), (3, 1)),
+        (7, (6, 2), (3, 1)),
+    ],
+)
+def test_operator_matches_its_per_label_definition(p, level, sub):
+    f = PrimeField(p)
+    code, sub_code = mds_code(f, *level), mds_code(f, *sub)
+    got = hierarchy_state_from_codes(code, sub_code)
+    want = _apply_O_by_labels(state_from_code(code), sub_code.n, sub_code)
+    assert np.max(np.abs(got.amplitudes - want)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "p, graph, sub",
+    [
+        (5, (6, 2), (4, 2)),  # a graph state, not a code state
+        (3, (4, 2), (4, 2)),  # O on the whole register
+        (5, None, (3, 1)),  # a random state, no structure at all
+    ],
+)
+def test_operator_matches_its_definition_on_other_states(p, graph, sub):
+    f = PrimeField(p)
+    if graph is None:
+        state = _random_state(p, 4, 3, False)
+    else:
+        state = graph_state(bipartite_adjacency(mds_code(f, *graph)))
+    sub_code = mds_code(f, *sub)
+    got = apply_O(state, sub_code.n, sub_code)
+    want = _apply_O_by_labels(state, sub_code.n, sub_code)
+    assert np.max(np.abs(got.amplitudes - want)) < 1e-12
+
+
+def test_operator_memory_stays_near_the_state_size(f5):
+    # the state has 5^6 amplitudes (250 kB); a q^{n*} x q^{n*} image matrix
+    # for n* = 5 alone would take 156 MB
+    code, sub_code = mds_code(f5, 6, 1), mds_code(f5, 5, 2)
+    tracemalloc.start()
+    try:
+        hierarchy_state_from_codes(code, sub_code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 def test_operator_validation(f5, phi60):
