@@ -13,10 +13,10 @@ them is the same witness an enumeration of all q^n - 1 vectors returns.
 For a k-uniform graph state the sweep ends at level k + 1.
 
 A level is a batch of (support, value pattern) pairs, with patterns in
-{1..q-1}^t, processed as numpy arrays of about ``chunk`` vectors. The
+{1..q-1}^t, processed as numpy arrays of about SWEEP_CHUNK vectors. The
 last r support positions of a batch take all their (q-1)^r patterns at
 once, as a tensor sum of precomputed multiples c * Gamma[i] mod q; when
-(q-1)^t exceeds ``chunk``, the first t - r positions run through their
+(q-1)^t exceeds SWEEP_CHUNK, the first t - r positions run through their
 patterns one at a time.
 """
 
@@ -27,6 +27,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 DEFAULT_BACKEND = "numpy"  # the only backend; perfbench reports it
+SWEEP_CHUNK = 1 << 14  # about this many exponent vectors per numpy batch
 
 
 def _patterns(q: int, width: int) -> np.ndarray:
@@ -36,7 +37,7 @@ def _patterns(q: int, width: int) -> np.ndarray:
     return (idx[:, None] // places) % (q - 1) + 1
 
 
-def min_support_sweep(gamma: np.ndarray, q: int, chunk: int = 1 << 14) -> tuple[int, int]:
+def min_support_sweep(gamma: np.ndarray, q: int) -> tuple[int, int]:
     """Minimum support over all nonzero w, in support order; returns (support, index).
 
     The index is the smallest base-q index (w_1 most significant) among
@@ -61,12 +62,12 @@ def min_support_sweep(gamma: np.ndarray, q: int, chunk: int = 1 << 14) -> tuple[
     best, best_idx = n + 1, -1
     for t in range(1, n + 1):
         r = t
-        while r > 1 and (q - 1) ** r > chunk:
+        while r > 1 and (q - 1) ** r > SWEEP_CHUNK:
             r -= 1
         h = t - r
         heads = _patterns(q, h)
         supports = combinations(range(n), t)
-        per_batch = max(1, chunk // (q - 1) ** r)
+        per_batch = max(1, SWEEP_CHUNK // (q - 1) ** r)
         while True:
             flat = np.fromiter(chain.from_iterable(islice(supports, per_batch)), dtype=np.int64)
             if flat.size == 0:

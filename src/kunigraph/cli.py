@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from functools import cache
 from pathlib import Path
 
@@ -49,41 +48,27 @@ EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_GUARD = 3
 
-DEFAULT_SEED = 7
+# Every parameter a command echoes, with the value echoed by a command that
+# has no such flag; levels given as --n/--k echo as "n:k".
+ECHO = {
+    "p": None,
+    "levels": None,
+    "gamma": None,
+    "b_mode": "zero",
+    "seed": 7,
+    "method": None,
+    "random_b": 0,
+    "out": None,
+    "with_state": False,
+    "sparse_state": False,
+    "fmt": None,
+    "pair": None,
+    "adjacency": None,
+}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of every parameter that shaped a run."""
-
-    subcommand: str
-    p: int | None = None
-    levels: str | None = None
-    gamma: int | None = None
-    b_mode: str = "zero"
-    seed: int = DEFAULT_SEED
-    method: str | None = None
-    random_b: int = 0
-    out: str | None = None
-    with_state: bool = False
-    sparse_state: bool = False
-    fmt: str | None = None
-    pair: tuple[str, str] | None = None
-    adjacency: str | None = None
-
-    def to_json(self) -> dict:
-        payload = asdict(self)
-        payload["pair"] = list(self.pair) if self.pair else None
-        return payload
-
-
-def _envelope(config: RunConfig, result: dict) -> str:
-    doc = {
-        "tool": "kunigraph",
-        "version": __version__,
-        "config": config.to_json(),
-        "result": result,
-    }
+def _dumps(doc) -> str:
+    """The JSON of stdout and of every written file but state.json."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -144,10 +129,8 @@ def cmd_build(args) -> tuple[dict, int]:
     written = []
     if args.out:
         out = Path(args.out)
-        _write(out / "code.json", json.dumps(code.to_json(), indent=2, sort_keys=True) + "\n")
-        _write(
-            out / "adjacency.json", json.dumps(adj.to_json(), indent=2, sort_keys=True) + "\n"
-        )
+        _write(out / "code.json", _dumps(code.to_json()))
+        _write(out / "adjacency.json", _dumps(adj.to_json()))
         _write(out / "graph.dot", export_dot(adj))
         written = ["code.json", "adjacency.json", "graph.dot"]
         if args.with_state:
@@ -233,10 +216,7 @@ def cmd_hierarchy(args) -> tuple[dict, int]:
         if args.out:
             out = Path(args.out)
             tag = "_".join(f"{n}-{k}" for n, k in levels)
-            _write(
-                out / f"adjacency_{tag}.json",
-                json.dumps(adj.to_json(), indent=2, sort_keys=True) + "\n",
-            )
+            _write(out / f"adjacency_{tag}.json", _dumps(adj.to_json()))
             _write(out / f"graph_{tag}.dot", export_dot(adj))
     return {"levels_checked": rows, "edge_counts_strictly_increase": monotone}, EXIT_OK
 
@@ -283,12 +263,12 @@ def cmd_slocc(args) -> tuple[dict, int]:
 
 
 def cmd_export(args) -> tuple[dict, int]:
-    payload = json.loads(Path(args.adjacency).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(args.adjacency).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{args.adjacency} nests JSON too deeply to read") from None
     adj = Adjacency.from_json(payload)
-    if args.format == "dot":
-        text = export_dot(adj)
-    else:
-        text = json.dumps(adj.to_json(), indent=2, sort_keys=True) + "\n"
+    text = export_dot(adj) if args.fmt == "dot" else _dumps(adj.to_json())
     if args.out:
         _write(Path(args.out), text)
         return {"written": args.out, "edge_count": adj.edge_count()}, EXIT_OK
@@ -308,10 +288,10 @@ def _add_random_block_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--b-mode",
         choices=("zero", "random"),
-        default="zero",
+        default=ECHO["b_mode"],
         help="lower-right block: zero (hierarchy levels) or seeded random",
     )
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized parts")
+    sub.add_argument("--seed", type=int, default=ECHO["seed"], help="seed for randomized parts")
 
 
 @cache
@@ -330,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--out", type=str, help="directory for artifact files")
     p_build.add_argument("--with-state", action="store_true", help="also write state.json")
     p_build.add_argument("--sparse-state", action="store_true", help="sparse state encoding")
+    p_build.set_defaults(run=cmd_build)
 
     p_verify = subs.add_parser("verify", help="check uniformity by independent methods")
     _add_construction_flags(p_verify)
@@ -342,14 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--random-b",
         type=int,
-        default=0,
+        default=ECHO["random_b"],
         metavar="N",
         help="also sweep N seeded random B blocks and require k >= code k",
     )
+    p_verify.set_defaults(run=cmd_verify)
 
     p_hier = subs.add_parser("hierarchy", help="build and check every hierarchy prefix")
     _add_construction_flags(p_hier)
     p_hier.add_argument("--out", type=str, help="directory for per-level artifacts")
+    p_hier.set_defaults(run=cmd_hierarchy)
 
     p_slocc = subs.add_parser("slocc", help="rank/support discrimination of two states")
     p_slocc.add_argument("--p", type=int, required=True)
@@ -361,53 +344,27 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("BASE", "HIER"),
         help='two level specs, e.g. --pair 6:2 "6:2+2:1"',
     )
+    p_slocc.set_defaults(run=cmd_slocc)
 
     p_export = subs.add_parser("export", help="re-emit a stored adjacency as DOT or JSON")
     p_export.add_argument("--adjacency", type=str, required=True, help="adjacency JSON file")
-    p_export.add_argument("--format", choices=("dot", "json"), default="dot")
+    p_export.add_argument("--format", dest="fmt", choices=("dot", "json"), default="dot")
     p_export.add_argument("--out", type=str)
+    p_export.set_defaults(run=cmd_export)
 
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        p=getattr(args, "p", None),
-        levels=getattr(args, "levels", None)
-        or (
-            f"{args.n}:{args.k}"
-            if getattr(args, "n", None) is not None and getattr(args, "k", None) is not None
-            else None
-        ),
-        gamma=getattr(args, "gamma", None),
-        b_mode=getattr(args, "b_mode", "zero"),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        method=getattr(args, "method", None),
-        random_b=getattr(args, "random_b", 0),
-        out=getattr(args, "out", None),
-        with_state=getattr(args, "with_state", False),
-        sparse_state=getattr(args, "sparse_state", False),
-        fmt=getattr(args, "format", None),
-        pair=tuple(args.pair) if getattr(args, "pair", None) else None,
-        adjacency=getattr(args, "adjacency", None),
-    )
-
-
-_COMMANDS = {
-    "build": cmd_build,
-    "verify": cmd_verify,
-    "hierarchy": cmd_hierarchy,
-    "slocc": cmd_slocc,
-    "export": cmd_export,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from(args)
+    config = {"subcommand": args.subcommand}
+    config.update((key, getattr(args, key, default)) for key, default in ECHO.items())
+    n, k = getattr(args, "n", None), getattr(args, "k", None)
+    config["levels"] = config["levels"] or (
+        f"{n}:{k}" if n is not None and k is not None else None
+    )
     try:
-        result, status = _COMMANDS[args.subcommand](args)
+        result, status = args.run(args)
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -415,7 +372,8 @@ def main(argv=None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.subcommand != "export" or args.out:
-        sys.stdout.write(_envelope(config, result))
+        doc = {"tool": "kunigraph", "version": __version__, "config": config, "result": result}
+        sys.stdout.write(_dumps(doc))
     return status
 
 

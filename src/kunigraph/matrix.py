@@ -84,27 +84,6 @@ class MatrixGF:
                     return False
         return True
 
-    # -- serialization -------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.field.p,
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": self.entries.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "MatrixGF":
-        field, grid = json_field_and_grid(payload, "entries", "rows", "cols")
-        arr = np.array(grid, dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape(payload["rows"], payload["cols"])
-        m = cls(field, arr)
-        if m.shape != (payload["rows"], payload["cols"]):
-            raise ValueError("entries shape disagrees with declared rows/cols")
-        return m
-
 
 def row_reduce(stack: np.ndarray, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form of every matrix in a (B, r, c) stack, and their ranks.

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -336,6 +337,14 @@ def test_export_missing_file(capsys):
     assert status == 2
 
 
+def test_export_refuses_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**5 + "]" * 10**5, encoding="utf-8")
+    status, out = run_cli(capsys, "export", "--adjacency", str(path))
+    assert status == 2
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -432,6 +441,11 @@ def test_the_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+def echo(subcommand, **flags):
+    """The config a command echoes: its own flags over the table's defaults."""
+    return {"subcommand": subcommand, **cli.ECHO, **flags}
+
+
 def test_consecutive_commands_echo_only_their_own_flags(tmp_path, capsys):
     # main reuses one parser, so no flag of one call may reach the next
     out = str(tmp_path / "b")
@@ -440,23 +454,67 @@ def test_consecutive_commands_echo_only_their_own_flags(tmp_path, capsys):
         "--with-state", "--sparse-state", "--b-mode", "random", "--seed", "3",
     )
     assert status == 0
-    assert doc["config"] == cli.RunConfig(
+    assert doc["config"] == echo(
         "build", p=5, levels="6:2", b_mode="random", seed=3, out=out,
         with_state=True, sparse_state=True,
-    ).to_json()
+    )
     status, doc = run_json(capsys, "verify", "--p", "7", "--n", "5", "--k", "2",
                            "--method", "structural")
     assert status == 0
-    assert doc["config"] == cli.RunConfig(
-        "verify", p=7, levels="5:2", method="structural"
-    ).to_json()
+    assert doc["config"] == echo("verify", p=7, levels="5:2", method="structural")
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "cutrank"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
     status, doc = run_json(capsys, "slocc", "--p", "5", "--pair", "5:2", "5:2+2:1")
     assert status == 0
-    assert doc["config"] == cli.RunConfig("slocc", p=5, pair=("5:2", "5:2+2:1")).to_json()
+    assert doc["config"] == echo("slocc", p=5, pair=["5:2", "5:2+2:1"])
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("subcommand", ["build", "verify", "hierarchy", "slocc", "export"])
+def test_every_flag_is_in_the_echo_table(subcommand):
+    # --n and --k echo through levels; a new flag needs an ECHO entry
+    dests = {action.dest for action in _subparsers()[subcommand]._actions}
+    assert dests - {"n", "k", "help", "run"} <= set(cli.ECHO)
+
+
+ONE_COMMAND_EACH = {
+    "build": ["build", "--p", "5", "--n", "4", "--k", "2"],
+    "verify": ["verify", "--p", "5", "--n", "4", "--k", "2", "--method", "stabilizer"],
+    "hierarchy": ["hierarchy", "--p", "5", "--levels", "4:2,2:1"],
+    "slocc": ["slocc", "--p", "5", "--pair", "4:2", "4:2"],
+    "export": ["export", "--adjacency", "adj.json", "--format", "json", "--out", "copy.json"],
+}
+
+
+def test_one_command_of_each_subcommand_is_listed():
+    assert set(ONE_COMMAND_EACH) == set(_subparsers())
+
+
+@pytest.mark.parametrize("subcommand", ONE_COMMAND_EACH)
+def test_each_subcommand_echoes_every_table_key(tmp_path, monkeypatch, capsys, subcommand):
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "build", "--p", "5", "--n", "4", "--k", "2", "--out", ".")
+    (tmp_path / "adjacency.json").rename(tmp_path / "adj.json")
+    status, doc = run_json(capsys, *ONE_COMMAND_EACH[subcommand])
+    assert status == 0
+    assert set(doc["config"]) == {"subcommand"} | set(cli.ECHO)
+    assert doc["config"]["subcommand"] == subcommand
+
+
+def test_empty_levels_echo_the_n_k_shorthand(capsys):
+    status, doc = run_json(
+        capsys, "verify", "--p", "5", "--levels", "", "--n", "6", "--k", "2",
+        "--method", "stabilizer",
+    )
+    assert status == 0
+    assert doc["config"]["levels"] == "6:2"
 
 
 def test_identical_invocations_are_byte_identical(tmp_path, capsys):

@@ -45,10 +45,12 @@ def corpus():
     ]
 
 
-def test_numpy_chunk_size_does_not_change_results():
+def test_numpy_chunk_size_does_not_change_results(monkeypatch):
     for gamma, q in corpus():
-        small = _kernels.min_support_sweep(gamma, q, chunk=7)
-        large = _kernels.min_support_sweep(gamma, q, chunk=1 << 16)
+        monkeypatch.setattr(_kernels, "SWEEP_CHUNK", 7)
+        small = _kernels.min_support_sweep(gamma, q)
+        monkeypatch.setattr(_kernels, "SWEEP_CHUNK", 1 << 16)
+        large = _kernels.min_support_sweep(gamma, q)
         assert small == large
 
 
@@ -90,13 +92,14 @@ def test_level_sweep_matches_the_full_sweep(case):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
-def test_level_sweep_matches_the_full_sweep_at_any_chunk(chunk):
+def test_level_sweep_matches_the_full_sweep_at_any_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(_kernels, "SWEEP_CHUNK", chunk)
     rng = np.random.default_rng(4)
     cases = [(np.zeros((1, 1), dtype=np.int64), q) for q in (2, 3, 7)]
     cases += [(gamma, q) for gamma, q in corpus()]
     cases += [(_random_gamma(rng, p, n), p) for p, n in ((2, 9), (3, 6), (7, 5), (13, 3))]
     for gamma, q in cases:
-        assert _kernels.min_support_sweep(gamma, q, chunk=chunk) == _full_sweep(gamma, q)
+        assert _kernels.min_support_sweep(gamma, q) == _full_sweep(gamma, q)
 
 
 @pytest.mark.parametrize("n", [14, 16])

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kunigraph import matrix
-from kunigraph.codes import mds_a_matrix
+from kunigraph.codes import LinearCode, mds_a_matrix
 from kunigraph.field import PrimeField
+from kunigraph.graph import Adjacency
 from kunigraph.matrix import MatrixGF, row_reduce
 
 PAPER_A = [[1, 1, 1, 1], [1, 2, 3, 4]]
@@ -250,35 +251,39 @@ def test_entries_are_read_only(f5):
         m.entries[0, 0] = 3
 
 
-def test_json_round_trip(f5):
-    m = MatrixGF(f5, PAPER_A)
-    payload = m.to_json()
-    assert payload == {"p": 5, "rows": 2, "cols": 4, "entries": PAPER_A}
-    assert MatrixGF.from_json(payload) == m
+# code and adjacency files share one exact reader, json_field_and_grid; this
+# payload is a valid file of both kinds
+BOTH = {"p": 5, "n": 2, "k": 1, "A": [[1]], "gamma": [[0, 1], [1, 0]]}
+READERS = (LinearCode.from_json, Adjacency.from_json)
 
 
-def test_json_rejects_mismatched_shape(f5):
+def test_json_rejects_mismatched_shape():
+    assert [read(BOTH).n for read in READERS] == [2, 2]
+    for read in READERS:
+        with pytest.raises(ValueError):
+            read({**BOTH, "n": 3})
     with pytest.raises(ValueError):
-        MatrixGF.from_json({"p": 5, "rows": 4, "cols": 2, "entries": PAPER_A})
+        LinearCode.from_json({**BOTH, "k": 2})
 
 
 @pytest.mark.parametrize(
     "payload",
     [
-        {"p": 5, "rows": 1, "cols": 2, "entries": [[1, 5]]},
-        {"p": 5, "rows": 1, "cols": 2, "entries": [[1, 2.0]]},
-        {"p": 5.0, "rows": 1, "cols": 2, "entries": [[1, 2]]},
-        {"p": 5, "rows": 1, "cols": False, "entries": [[1, 2]]},
-        {"p": 5, "rows": 1, "entries": [[1, 2]]},
+        {**BOTH, "A": [[5]], "gamma": [[0, 5], [5, 0]]},
+        {**BOTH, "A": [[1.0]], "gamma": [[0, 1.0], [1.0, 0]]},
+        {**BOTH, "p": 5.0},
+        {**BOTH, "n": False},
+        {key: value for key, value in BOTH.items() if key != "n"},
         "entries",
     ],
 )
 def test_json_refuses_inexact_payloads(payload):
-    with pytest.raises(ValueError):
-        MatrixGF.from_json(payload)
+    for read in READERS:
+        with pytest.raises(ValueError):
+            read(payload)
 
 
 def test_json_empty_columns_round_trip(f5):
-    m = MatrixGF.zeros(f5, 2, 0)
-    assert MatrixGF.from_json(m.to_json()) == m
+    code = LinearCode(MatrixGF.zeros(f5, 2, 0))
+    assert LinearCode.from_json(code.to_json()) == code
 
