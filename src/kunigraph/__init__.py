@@ -1,7 +1,6 @@
 """k-uniform and AME qudit graph states from MDS codes over prime fields."""
 
 from .analysis import (
-    SloccReport,
     ame_support_check,
     rank_spectrum,
     rank_spectrum_check,
@@ -64,7 +63,6 @@ __all__ = [
     "MatrixGF",
     "PrimeField",
     "ResourceLimitError",
-    "SloccReport",
     "StateVector",
     "ame_support_check",
     "apply_O",

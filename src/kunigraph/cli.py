@@ -241,14 +241,12 @@ def cmd_slocc(args) -> tuple[dict, int]:
     if is_level1_pair:
         (n0, k0), (ns, ks) = hier_spec.levels
         if k0 + ks <= n0 // 2:
-            reports.append(
-                rank_split_check(base_state, hier_state, ns, k0, ks, labels=labels).to_json()
-            )
+            reports.append(rank_split_check(base_state, hier_state, ns, k0, ks, labels=labels))
     if not reports:
-        reports.append(rank_spectrum_check(base_state, hier_state, labels=labels).to_json())
+        reports.append(rank_spectrum_check(base_state, hier_state, labels=labels))
     if n % 2 == 1:
         try:
-            reports.append(ame_support_check(base_state, hier_state, labels=labels).to_json())
+            reports.append(ame_support_check(base_state, hier_state, labels=labels))
         except ValueError:  # a state that is not AME: no support report
             pass
     verdicts = [r["verdict"] for r in reports]

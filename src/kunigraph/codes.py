@@ -247,14 +247,16 @@ def singleton_array(field: PrimeField, gamma: int) -> list[list[int]]:
     Row 0 is all ones (length q); row i >= 1 is [1, a_i, a_{i+1}, ...]
     with a_i = 1/(1 - gamma^i), truncated so row i has length q - i.
     Every rectangular submatrix has all square submatrices nonsingular.
+    gamma must be an int in [0, q): it is never reduced mod q.
     """
     q = field.p
-    g = int(gamma) % q
-    if not field.is_primitive(g):
-        raise ValueError(f"{g} is not a primitive element of GF({q})")
+    if not isinstance(gamma, int) or isinstance(gamma, bool) or not 0 <= gamma < q:
+        raise ValueError(f"gamma must be an integer in [0, {q}), got {gamma!r}")
+    if not field.is_primitive(gamma):
+        raise ValueError(f"{gamma} is not a primitive element of GF({q})")
     a = [0] * (q - 1)  # a[i] holds a_i for 1 <= i <= q-2
     for i in range(1, q - 1):
-        a[i] = field.inv(1 - pow(g, i, q))
+        a[i] = field.inv(1 - pow(gamma, i, q))
     rows = [[1] * q]
     for i in range(1, q):
         row = [1] + [a[i + j - 1] for j in range(1, q - i)]

@@ -54,14 +54,13 @@ class Adjacency:
         return int(np.count_nonzero(np.triu(self.gamma.entries, k=1)))
 
     def edges(self) -> list[tuple[int, int, int]]:
-        """Edges as (i, j, weight) with 1-based vertices and i < j."""
-        out = []
-        ent = self.gamma.entries
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if ent[i, j]:
-                    out.append((i + 1, j + 1, int(ent[i, j])))
-        return out
+        """Edges as (i, j, weight) with 1-based vertices and i < j, row by row."""
+        upper = np.triu(self.gamma.entries, k=1)
+        rows, cols = np.nonzero(upper)
+        return [
+            (i + 1, j + 1, weight)
+            for i, j, weight in zip(rows.tolist(), cols.tolist(), upper[rows, cols].tolist())
+        ]
 
     def to_json(self) -> dict:
         return {"p": self.field.p, "n": self.n, "gamma": self.gamma.entries.tolist()}

@@ -105,8 +105,8 @@ def test_criterion_5_split_subset_ranks_distinguish_the_pair(phi60, phi62):
     assert r_base <= 25
     assert r_hier == 125
     report = rank_split_check(phi60, phi62, 2, 2, 1, labels=("6:2", "6:2+2:1"))
-    assert report.verdict == "distinguished"
-    assert (1, 2, 5) in report.distinguishing_subsets
+    assert report["verdict"] == "distinguished"
+    assert [1, 2, 5] in report["distinguishing_subsets"]
     _report(5, f"ranks {r_base} vs {r_hier} at subset (1,2,5), pair distinguished")
 
 

@@ -111,18 +111,38 @@ def test_rank_spectrum_is_lu_invariant(phi50):
     assert rank_spectrum(rotated) == rank_spectrum(phi50)
 
 
+def test_each_report_has_its_exact_key_set(phi50, phi52, phi60, phi62):
+    shared = {"test", "states", "subsets_checked", "distinguishing_subsets", "verdict"}
+    assert set(rank_spectrum_check(phi60, phi62)) == shared
+    assert set(rank_split_check(phi60, phi62, 2, 2, 1)) == shared | {"ranks", "note"}
+    assert set(ame_support_check(phi50, phi52)) == shared | {"supports", "note"}
+
+
+def test_spectrum_check_lists_distinguishing_subsets_in_order(phi60, path_state):
+    report = rank_spectrum_check(phi60, path_state, labels=("6:2", "path"))
+    assert report["test"] == "rank_spectrum"
+    assert report["states"] == ["6:2", "path"]
+    assert report["subsets_checked"] == 6 + 15 + 20
+    assert report["verdict"] == "distinguished"
+    diffs = report["distinguishing_subsets"]
+    assert diffs == sorted(diffs) and [4] not in diffs  # qudit 4 has rank 5 in both
+    assert rank_spectrum_check(phi60, phi60)["verdict"] == "not distinguished"
+
+
 # ---------------------------------------------------------------------------
 # split-subset rank discrimination
 # ---------------------------------------------------------------------------
 
 def test_base_and_level1_states_are_distinguished(phi60, phi62):
     report = rank_split_check(phi60, phi62, 2, 2, 1, labels=("6:2", "6:2+2:1"))
-    assert report.verdict == "distinguished"
-    assert report.subsets_checked == 12  # C(4,2) * C(2,1)
-    assert report.distinguishing_subsets[0] == (1, 2, 5)
-    assert report.ranks[(1, 2, 5)] == (25, 125)
+    assert report["verdict"] == "distinguished"
+    assert report["states"] == ["6:2", "6:2+2:1"]
+    assert report["subsets_checked"] == 12  # C(4,2) * C(2,1)
+    assert report["distinguishing_subsets"][0] == [1, 2, 5]
+    assert report["ranks"]["1,2,5"] == [25, 125]
     # every split subset separates this pair
-    assert len(report.distinguishing_subsets) == 12
+    assert len(report["distinguishing_subsets"]) == 12
+    assert report["note"].startswith("rank is a SLOCC invariant; base rank <= 25")
 
 
 def test_split_check_ranks_each_complementary_pair_once(monkeypatch, phi60, phi62, path_state):
@@ -131,21 +151,23 @@ def test_split_check_ranks_each_complementary_pair_once(monkeypatch, phi60, phi6
     sizes = count_reductions(monkeypatch)
     report = rank_split_check(phi60, phi62, 2, 2, 1)
     assert sizes == [3] * 12
-    assert len(report.ranks) == report.subsets_checked == 12
+    assert len(report["ranks"]) == report["subsets_checked"] == 12
     monkeypatch.undo()
     report = rank_split_check(phi60, path_state, 2, 2, 1)
-    assert {pair[1] for pair in report.ranks.values()} == {5, 25, 125}
-    for subset, pair in report.ranks.items():
-        assert pair == (
+    assert {pair[1] for pair in report["ranks"].values()} == {5, 25, 125}
+    for key, pair in report["ranks"].items():
+        subset = [int(qudit) for qudit in key.split(",")]
+        assert pair == [
             rank_of_reduction(phi60, subset),
             rank_of_reduction(path_state, subset),
-        ), subset
+        ], subset
 
 
 def test_identical_states_are_not_distinguished(phi60):
     report = rank_split_check(phi60, phi60, 2, 2, 1)
-    assert report.verdict == "not distinguished"
-    assert report.distinguishing_subsets == ()
+    assert report["verdict"] == "not distinguished"
+    assert report["distinguishing_subsets"] == []
+    assert report["note"] == "no rank difference found on the split subsets"
 
 
 def test_split_check_preconditions(phi50, phi52, phi60):
@@ -160,28 +182,24 @@ def test_spectrum_check_refuses_different_registers(phi50, phi60):
         rank_spectrum_check(phi50, phi60)
 
 
-def test_split_report_json(phi60, phi62):
-    payload = rank_split_check(phi60, phi62, 2, 2, 1).to_json()
-    assert payload["verdict"] == "distinguished"
-    assert payload["subsets_checked"] == 12
-    assert payload["distinguishing_subsets"][0] == [1, 2, 5]
-    assert payload["ranks"]["1,2,5"] == [25, 125]
-
-
 # ---------------------------------------------------------------------------
 # AME support discrimination
 # ---------------------------------------------------------------------------
 
 def test_ame_pair_support_separation(phi50, phi52):
     report = ame_support_check(phi50, phi52, labels=("5:2", "5:2+2:1"))
-    assert report.supports == (25, 125)
-    assert report.verdict == "distinguished"
+    assert report["supports"] == [25, 125]
+    assert report["verdict"] == "distinguished"
+    assert report["subsets_checked"] == 0
+    assert report["distinguishing_subsets"] == []
+    assert report["note"].startswith("support counts differ")
 
 
 def test_same_state_supports_are_equal(phi50):
     report = ame_support_check(phi50, phi50)
-    assert report.supports == (25, 25)
-    assert report.verdict == "not distinguished by this test"
+    assert report["supports"] == [25, 25]
+    assert report["verdict"] == "not distinguished by this test"
+    assert report["note"] == "equal support counts; test is inconclusive"
 
 
 def test_support_check_requires_odd_register(phi60, phi62):
@@ -216,12 +234,5 @@ def test_smallest_odd_register_pair_over_gf2():
     base = state_from_code(mds_code(f2, 3, 1))
     hier = hierarchy_state_from_codes(mds_code(f2, 3, 1), mds_code(f2, 2, 1))
     report = ame_support_check(base, hier)
-    assert report.supports == (2, 4)
-    assert report.verdict == "distinguished"
-
-
-def test_support_report_json(phi50, phi52):
-    payload = ame_support_check(phi50, phi52).to_json()
-    assert payload["supports"] == [25, 125]
-    assert payload["subsets_checked"] == 0
-    assert "note" in payload
+    assert report["supports"] == [2, 4]
+    assert report["verdict"] == "distinguished"

@@ -306,6 +306,17 @@ def test_slocc_ranks_each_complementary_pair_once(capsys, monkeypatch):
     assert len(doc["result"]["reports"][0]["ranks"]) == 12
 
 
+def test_slocc_odd_register_pair_that_is_not_ame(capsys):
+    # 5:1 is 1-uniform, not AME on 5 qudits: the support check refuses the
+    # pair, so the split ranks are the only report
+    status, doc = run_json(capsys, "slocc", "--p", "5", "--pair", "5:1", "5:1+2:1")
+    assert status == 0
+    [report] = doc["result"]["reports"]
+    assert report["test"] == "rank_split_subsets"
+    assert report["subsets_checked"] == 6  # C(3,1) * C(2,1)
+    assert doc["result"]["verdict"] == "distinguished"
+
+
 def test_slocc_rejects_states_on_different_registers(capsys):
     status, out = run_cli(capsys, "slocc", "--p", "5", "--pair", "4:2", "6:2")
     assert status == 2
@@ -341,6 +352,14 @@ def test_export_refuses_deeply_nested_json(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 10**5 + "]" * 10**5, encoding="utf-8")
     status, out = run_cli(capsys, "export", "--adjacency", str(path))
+    assert status == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("gamma", ["7", "-3", "5"])
+def test_gamma_outside_the_field_is_invalid_input(capsys, gamma):
+    # 7 and -3 are 2 mod 5, a primitive element; they are refused, not reduced
+    status, out = run_cli(capsys, "verify", "--p", "5", "--n", "6", "--k", "2", "--gamma", gamma)
     assert status == 2
     assert out == ""
 

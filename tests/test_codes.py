@@ -410,6 +410,16 @@ def test_singleton_array_rejects_non_primitive(f5):
         singleton_array(f5, 0)
 
 
+@pytest.mark.parametrize("gamma", [7, -3, 5, 8, True, 3.0, "3"])
+def test_singleton_array_refuses_gamma_outside_the_field(f5, gamma):
+    # 7, -3 and 8 reduce mod 5 to the primitive elements 2, 2 and 3; an
+    # input outside [0, p) is refused instead of reduced
+    with pytest.raises(ValueError, match=r"gamma must be an integer in \[0, 5\)"):
+        singleton_array(f5, gamma)
+    with pytest.raises(ValueError):
+        mds_code(f5, 6, 2, gamma=gamma)
+
+
 def test_singleton_gamma_choices():
     assert singleton_gamma(PrimeField(5)) == 3
     assert singleton_gamma(PrimeField(7)) == 3
