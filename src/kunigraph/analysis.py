@@ -95,8 +95,11 @@ def rank_split_check(
     n, q = base.n, base.q
     if k + k_star > n // 2:
         raise ValueError(f"need k + k_star <= n/2, got {k} + {k_star} > {n // 2}")
-    if not 2 <= n_star <= n:
-        raise ValueError("n_star out of range")
+    if n_star < 2 or k > n - n_star or k_star > n_star:
+        raise ValueError(
+            f"no split subsets: need 2 <= n_star, k <= n - n_star and k_star <= n_star, "
+            f"got n = {n}, n_star = {n_star}, k = {k}, k_star = {k_star}"
+        )
     subsets = (
         s1 + s2
         for s1 in combinations(range(1, n - n_star + 1), k)

@@ -221,47 +221,42 @@ def dual_code(code: LinearCode) -> LinearCode:
     return LinearCode(MatrixGF(field, reduced[:, m:]))
 
 
-def singleton_gamma(field: PrimeField) -> int:
-    """Deterministic primitive element for Singleton-array construction.
+def _singleton_values(field: PrimeField, gamma: int, count: int) -> list[int]:
+    """Singleton array values [a_1, ..., a_count], a_i = 1/(1 - gamma^i), count <= q - 2.
 
-    Among all primitive elements, picks the one whose leading interior
-    array entry 1/(1 - gamma) is smallest; distinct gammas give distinct
-    leading entries, so the choice is unique.
-    """
-    if field.p == 2:
-        return 1
-    best = None
-    best_a1 = field.p
-    for g in range(2, field.p):
-        if field.is_primitive(g):
-            a1 = field.inv(1 - g)
-            if a1 < best_a1:
-                best_a1 = a1
-                best = g
-    return best
-
-
-def singleton_array(field: PrimeField, gamma: int) -> list[list[int]]:
-    """Triangular array over GF(q) generated by a primitive element.
-
-    Row 0 is all ones (length q); row i >= 1 is [1, a_i, a_{i+1}, ...]
-    with a_i = 1/(1 - gamma^i), truncated so row i has length q - i.
-    Every rectangular submatrix has all square submatrices nonsingular.
-    gamma must be an int in [0, q): it is never reduced mod q.
+    gamma must be primitive and an int in [0, q): it is never reduced mod q.
     """
     q = field.p
     if not isinstance(gamma, int) or isinstance(gamma, bool) or not 0 <= gamma < q:
         raise ValueError(f"gamma must be an integer in [0, {q}), got {gamma!r}")
     if not field.is_primitive(gamma):
         raise ValueError(f"{gamma} is not a primitive element of GF({q})")
-    a = [0] * (q - 1)  # a[i] holds a_i for 1 <= i <= q-2
-    for i in range(1, q - 1):
-        a[i] = field.inv(1 - pow(gamma, i, q))
-    rows = [[1] * q]
-    for i in range(1, q):
-        row = [1] + [a[i + j - 1] for j in range(1, q - i)]
-        rows.append(row)
-    return rows
+    return [pow(1 - pow(gamma, i, q), -1, q) for i in range(1, count + 1)]
+
+
+def singleton_gamma(field: PrimeField) -> int:
+    """Deterministic primitive element for Singleton-array construction.
+
+    Among all primitive elements, picks the one whose leading interior
+    array entry a_1 = 1/(1 - gamma) is smallest: the first primitive gamma =
+    1 - 1/a_1 for a_1 = 1, 2, ..., which maps one-to-one onto GF(q) minus {1}.
+    """
+    if field.p == 2:
+        return 1
+    gammas = ((1 - pow(a1, -1, field.p)) % field.p for a1 in range(1, field.p))
+    return next(g for g in gammas if field.is_primitive(g))
+
+
+def singleton_array(field: PrimeField, gamma: int) -> list[list[int]]:
+    """Triangular array over GF(q) generated by a primitive element.
+
+    Row 0 is all ones (length q); row i >= 1 is [1, a_i, a_{i+1}, ..., a_{q-2}]
+    with a_i = 1/(1 - gamma^i), so row i has length q - i.
+    Every rectangular submatrix has all square submatrices nonsingular.
+    gamma must be an int in [0, q): it is never reduced mod q.
+    """
+    a = _singleton_values(field, gamma, field.p - 2)
+    return [[1] * field.p] + [[1] + a[i - 1 :] for i in range(1, field.p)]
 
 
 def mds_a_matrix(
@@ -269,9 +264,10 @@ def mds_a_matrix(
 ) -> MatrixGF:
     """A k x m matrix whose every square submatrix is nonsingular.
 
-    Takes the top-left k x m rectangle of the Singleton array S_q; the
-    rectangle fits iff k + m <= q + 1. The MDS property is re-verified on
-    the result before returning.
+    The top-left k x m rectangle of the Singleton array S_q, built from its
+    k + m - 3 values a_1 .. a_{k+m-3} alone: row 0 is all ones and row i >= 1
+    is [1, a_i, ..., a_{i+m-2}]. The rectangle fits iff k + m <= q + 1. The
+    MDS property is re-verified on the result before returning.
     """
     if k < 1 or m < 0:
         raise ValueError("k must be >= 1 and m >= 0")
@@ -283,8 +279,9 @@ def mds_a_matrix(
         )
     if gamma is None:
         gamma = singleton_gamma(field)
-    arr = singleton_array(field, gamma)
-    a = MatrixGF(field, [arr[i][:m] for i in range(k)])
+    values = _singleton_values(field, gamma, k + m - 3)
+    rows = [[1] * m] + [[1] + values[i - 1 : i + m - 2] for i in range(1, k)]
+    a = MatrixGF(field, rows)
     if not a.all_square_submatrices_nonsingular():
         raise RuntimeError("Singleton rectangle failed the nonsingularity check")
     return a

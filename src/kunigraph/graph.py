@@ -135,7 +135,9 @@ class HierarchySpec:
     def __post_init__(self):
         if not self.levels:
             raise ValueError("at least one level is required")
-        levels = tuple((int(n), int(k)) for n, k in self.levels)
+        levels = tuple((n, k) for n, k in self.levels)
+        if any(not isinstance(v, int) or isinstance(v, bool) for level in levels for v in level):
+            raise ValueError(f"level sizes must be integers, got {self.levels!r}")
         object.__setattr__(self, "levels", levels)
         n0, k0 = levels[0]
         if not 1 <= k0 <= n0 // 2:
@@ -157,13 +159,13 @@ class HierarchySpec:
 
     @classmethod
     def parse(cls, field: PrimeField, text: str) -> "HierarchySpec":
-        """Parse "6:2,2:1" or "6:2+2:1" into a spec."""
+        """Parse "6:2,2:1" or "6:2+2:1" into a spec; n and k are ASCII digits."""
         seps = text.replace("+", ",")
         levels = []
         for token in seps.split(","):
-            parts = token.strip().split(":")
-            if len(parts) != 2:
-                raise ValueError(f"bad level token {token!r}, expected n:k")
+            parts = [part.strip() for part in token.split(":")]
+            if len(parts) != 2 or not all(part.isascii() and part.isdigit() for part in parts):
+                raise ValueError(f"bad level token {token!r}, expected n:k in ASCII digits")
             levels.append((int(parts[0]), int(parts[1])))
         return cls(field, tuple(levels))
 

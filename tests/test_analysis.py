@@ -177,6 +177,13 @@ def test_split_check_preconditions(phi50, phi52, phi60):
         rank_split_check(phi60, phi50, 2, 2, 1)  # different registers
 
 
+@pytest.mark.parametrize("n_star", [1, 5, 7])
+def test_split_check_refuses_an_empty_split_family(phi60, n_star):
+    # n = 6, k = 2, k* = 1: the first n - n* qudits must hold k of them
+    with pytest.raises(ValueError, match="no split subsets"):
+        rank_split_check(phi60, phi60, n_star, 2, 1)
+
+
 def test_spectrum_check_refuses_different_registers(phi50, phi60):
     with pytest.raises(ValueError, match="different registers"):
         rank_spectrum_check(phi50, phi60)

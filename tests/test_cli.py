@@ -364,6 +364,21 @@ def test_gamma_outside_the_field_is_invalid_input(capsys, gamma):
     assert out == ""
 
 
+@pytest.mark.parametrize("p, levels", [("11", "1_0:5"), ("5", "\u0666:\u0662")])
+def test_levels_outside_ascii_digits_are_invalid_input(capsys, p, levels):
+    # int() reads these as 10:5 and 6:2
+    status, out = run_cli(capsys, "verify", "--p", p, "--levels", levels)
+    assert status == 2
+    assert out == ""
+
+
+def test_build_at_a_large_prime_cuts_only_its_rectangle(capsys):
+    # the full GF(8191) Singleton triangle would hold about 3.4e7 entries
+    status, doc = run_json(capsys, "build", "--p", "8191", "--n", "4", "--k", "2")
+    assert status == 0
+    assert doc["result"]["code"]["A"][0] == [1, 1]
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import cache
 from itertools import product
 from math import comb
@@ -437,6 +438,76 @@ def test_gf7_rectangles_from_gamma3_are_all_mds():
                 continue
             a = MatrixGF(f7, [arr[i][:m] for i in range(k)])
             assert a.all_square_submatrices_nonsingular(), (k, m)
+
+
+def reference_singleton_array(field, gamma):
+    """The whole triangle, each row cut from the full list a_1 .. a_{q-2}."""
+    q = field.p
+    a = [0] * (q - 1)  # a[i] holds a_i for 1 <= i <= q-2
+    for i in range(1, q - 1):
+        a[i] = field.inv(1 - pow(gamma, i, q))
+    return [[1] * q] + [[1] + [a[i + j - 1] for j in range(1, q - i)] for i in range(1, q)]
+
+
+def reference_singleton_gamma(field):
+    """Full scan: the primitive gamma whose entry 1/(1 - gamma) is least."""
+    if field.p == 2:
+        return 1
+    primitive = [g for g in range(2, field.p) if field.is_primitive(g)]
+    return min(primitive, key=lambda g: field.inv(1 - g))
+
+
+def primes_below(bound):
+    return [p for p in range(2, bound) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@pytest.mark.parametrize("p", primes_below(60))
+def test_singleton_array_matches_the_full_triangle(p):
+    f = PrimeField(p)
+    for gamma in filter(f.is_primitive, range(p)):
+        assert singleton_array(f, gamma) == reference_singleton_array(f, gamma), gamma
+
+
+def test_singleton_gamma_matches_the_full_scan():
+    for p in primes_below(1000):
+        f = PrimeField(p)
+        assert singleton_gamma(f) == reference_singleton_gamma(f), p
+
+
+@pytest.mark.parametrize("p", primes_below(14))
+def test_mds_a_matrix_is_the_corner_of_the_full_triangle(p):
+    f = PrimeField(p)
+    for gamma in filter(f.is_primitive, range(p)):
+        triangle = reference_singleton_array(f, gamma)
+        for k in range(1, p + 2):
+            for m in range(0, p + 2 - k):
+                # m = 0 takes the empty path: k may then exceed the q rows
+                corner = [row[:m] for row in triangle[:k]] if m else [[]] * k
+                assert mds_a_matrix(f, k, m, gamma=gamma).entries.tolist() == corner
+
+
+def test_mds_code_builds_only_its_rectangle(monkeypatch):
+    # the full GF(1021) triangle holds about 5.2e5 entries and the full gamma
+    # scan tests 1,019 candidates; a [4, 2] code needs the one value a_1
+    f = PrimeField(1021)
+    f.inverses()  # the MDS self-check's row reduction reads the whole table
+    calls = []
+    is_primitive = PrimeField.is_primitive
+
+    def counted(field, g):
+        calls.append(g)
+        return is_primitive(field, g)
+
+    monkeypatch.setattr(PrimeField, "is_primitive", counted)
+    tracemalloc.start()
+    try:
+        code = mds_code(f, 4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert min_distance(code) == 3
+    assert peak < 64 * 1024
+    assert len(calls) <= 32
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_results_stay_canonical(p):
 
 
 def test_element_arithmetic():
-    # singleton_array forms 1 / (1 - g^i) as inv(1 - pow(g, i, p)), a negative operand
+    # 1 - g^i is a negative operand whenever g^i > 1; inv reduces it mod p first
     f = PrimeField(5)
     assert f.inv(1 - pow(3, 3, 5)) == f.inv(-1) == 4
     assert f.inv(1 - 3) == f.inv(3) == 2

@@ -237,12 +237,27 @@ def test_hierarchy_spec_validation(f5):
         HierarchySpec(f5, ((6, 2), (2, 1), (2, 1)))  # corner already exhausted
 
 
+@pytest.mark.parametrize("levels", [((6.9, 2.5),), ((6, True),), (("6", "2"),), ((6, 2), (2, 1.0))])
+def test_hierarchy_spec_refuses_sizes_that_are_not_ints(f5, levels):
+    # int() would make these 6:2, 6:1, 6:2 and 6:2+2:1
+    with pytest.raises(ValueError, match="level sizes must be integers"):
+        HierarchySpec(f5, levels)
+
+
 def test_hierarchy_spec_parsing(f5):
     assert HierarchySpec.parse(f5, "6:2,2:1").levels == ((6, 2), (2, 1))
     assert HierarchySpec.parse(f5, "6:2+2:1").levels == ((6, 2), (2, 1))
     assert HierarchySpec.parse(f5, " 6:2 ").levels == ((6, 2),)
+    assert HierarchySpec.parse(f5, "6 : 2, 2:1").levels == ((6, 2), (2, 1))
     with pytest.raises(ValueError):
         HierarchySpec.parse(f5, "6-2")
+
+
+@pytest.mark.parametrize("text", ["1_0:5", "\u0666:\u0662", "+6:2", "6:-2", "6:", "6:2,"])
+def test_hierarchy_spec_parses_ascii_digits_only(text):
+    # int() reads "1_0" as 10 and the Arabic-Indic digits as 6 and 2
+    with pytest.raises(ValueError, match="expected n:k in ASCII digits"):
+        HierarchySpec.parse(PrimeField(11), text)
 
 
 def test_hierarchy_spec_label(f5):
