@@ -221,16 +221,22 @@ def dual_code(code: LinearCode) -> LinearCode:
     return LinearCode(MatrixGF(field, reduced[:, m:]))
 
 
-def _singleton_values(field: PrimeField, gamma: int, count: int) -> list[int]:
-    """Singleton array values [a_1, ..., a_count], a_i = 1/(1 - gamma^i), count <= q - 2.
-
-    gamma must be primitive and an int in [0, q): it is never reduced mod q.
-    """
+def _check_gamma(field: PrimeField, gamma) -> None:
+    """Refuse a gamma that is not a primitive int in [0, q); it is never reduced mod q."""
     q = field.p
     if not isinstance(gamma, int) or isinstance(gamma, bool) or not 0 <= gamma < q:
         raise ValueError(f"gamma must be an integer in [0, {q}), got {gamma!r}")
     if not field.is_primitive(gamma):
         raise ValueError(f"{gamma} is not a primitive element of GF({q})")
+
+
+def _singleton_values(field: PrimeField, gamma: int, count: int) -> list[int]:
+    """Singleton array values [a_1, ..., a_count], a_i = 1/(1 - gamma^i), count <= q - 2.
+
+    gamma must be primitive and an int in [0, q): it is never reduced mod q.
+    """
+    _check_gamma(field, gamma)
+    q = field.p
     return [pow(1 - pow(gamma, i, q), -1, q) for i in range(1, count + 1)]
 
 
@@ -272,6 +278,8 @@ def mds_a_matrix(
     if k < 1 or m < 0:
         raise ValueError("k must be >= 1 and m >= 0")
     if m == 0:
+        if gamma is not None:
+            _check_gamma(field, gamma)
         return MatrixGF.zeros(field, k, 0)
     if k + m > field.p + 1:
         raise ValueError(

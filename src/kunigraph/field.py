@@ -80,9 +80,16 @@ class PrimeField:
     def inverses(self) -> np.ndarray:
         """Read-only table of inverses indexed by element; entry 0 holds 0."""
         if self._inverse is None:
-            table = np.array(
-                [0] + [pow(x, self.p - 2, self.p) for x in range(1, self.p)], dtype=np.int64
-            )
+            # x^(p - 2) by square-and-multiply on the whole table at once;
+            # every product stays below p^2 <= 2^40
+            p, exponent = self.p, self.p - 2
+            table, power = np.ones(p, dtype=np.int64), np.arange(p, dtype=np.int64)
+            while exponent:
+                if exponent & 1:
+                    table = table * power % p
+                power = power * power % p
+                exponent >>= 1
+            table[0] = 0
             table.setflags(write=False)
             object.__setattr__(self, "_inverse", table)
         return self._inverse

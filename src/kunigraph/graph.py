@@ -135,6 +135,9 @@ class HierarchySpec:
     def __post_init__(self):
         if not self.levels:
             raise ValueError("at least one level is required")
+        for level in self.levels:
+            if not isinstance(level, (tuple, list)) or len(level) != 2:
+                raise ValueError(f"each level must be an (n, k) pair, got {level!r}")
         levels = tuple((n, k) for n, k in self.levels)
         if any(not isinstance(v, int) or isinstance(v, bool) for level in levels for v in level):
             raise ValueError(f"level sizes must be integers, got {self.levels!r}")

@@ -6,20 +6,21 @@ array; all elimination is exact integer work modulo p.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from .field import PrimeField
 
 
-MINOR_CHUNK = 4096  # t x t minors row-reduced per batch by the MDS test
+# Schur complements the MDS test forms per step. It walks depth first, so at
+# most one batch per minor size is alive: its peak memory grows with
+# min(rows, cols) x MINOR_CHUNK x rows x cols entries, not with the number of minors.
+MINOR_CHUNK = 4096
 
 
 class MatrixGF:
     """An immutable rows x cols matrix with entries in GF(p)."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "entries", "_minors_verdict")
 
     def __init__(self, field: PrimeField, entries):
         arr = np.asarray(entries)
@@ -33,6 +34,8 @@ class MatrixGF:
         object.__setattr__(self, "rows", int(arr.shape[0]))
         object.__setattr__(self, "cols", int(arr.shape[1]))
         object.__setattr__(self, "entries", arr)
+        # all_square_submatrices_nonsingular's verdict, filled on first use
+        object.__setattr__(self, "_minors_verdict", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixGF is immutable")
@@ -68,20 +71,61 @@ class MatrixGF:
     def all_square_submatrices_nonsingular(self) -> bool:
         """True iff every t x t submatrix has full rank t.
 
-        Exhaustive over all row and column subsets for each size t; the
-        minors of one size are row-reduced together, MINOR_CHUNK at a time,
-        and the test stops at the first batch holding a singular one.
+        The matrix is immutable, so the verdict is computed once, on the
+        first call, and every later call reads it.
         """
-        ent = self.entries
-        for t in range(1, min(self.rows, self.cols) + 1):
-            rsel = np.array(list(combinations(range(self.rows), t)))
-            csel = np.array(list(combinations(range(self.cols), t)))
-            total = len(rsel) * len(csel)
-            for start in range(0, total, MINOR_CHUNK):
-                r, c = np.divmod(np.arange(start, min(start + MINOR_CHUNK, total)), len(csel))
-                minors = ent[rsel[r][:, :, None], csel[c][:, None, :]]
-                if np.any(row_reduce(minors, self.field)[1] < t):
-                    return False
+        if self._minors_verdict is None:
+            object.__setattr__(self, "_minors_verdict", self._minors_nonsingular())
+        return self._minors_verdict
+
+    def _minors_nonsingular(self) -> bool:
+        """One Schur-complement pivot per minor; False at the first zero one.
+
+        The minor on rows R and columns C has one parent, A[R', C'] with its
+        largest row r and column c removed, and det A[R, C] =
+        det A[R', C'] * S[r, c] mod p, where S is the Schur complement of the
+        parent in A (A itself for the empty minor). The complement of
+        A[R, C] is that of S at pivot (r, c): S - S[:, c] S[r, :] / S[r, c].
+        So, from the empty minor down, every minor is nonsingular iff every
+        pivot S[r, c] with r > max R' and c > max C' is nonzero: one pivot and
+        one rank-1 update per minor, in exact integer arithmetic mod p.
+        Complements are formed only for minors that have children, at most
+        MINOR_CHUNK per step, depth first.
+        """
+        p, rows, cols = self.field.p, self.rows, self.cols
+        inverses = self.field.inverses()
+        row, col = np.arange(rows)[:, None], np.arange(cols)
+        inner = (row < rows - 1) & (col < cols - 1)
+
+        def extensions(complements, last_row, last_col):
+            """Flat (complement, r, c) indices of the children that have children,
+            or None if a child's pivot is zero."""
+            below = (row > last_row[:, None, None]) & (col > last_col[:, None, None])
+            if ((complements == 0) & below).any():
+                return None
+            return np.flatnonzero(below & inner)
+
+        root = self.entries[None]
+        pending = extensions(root, np.array([-1]), np.array([-1]))
+        if pending is None:
+            return False
+        work = [(root, pending)]
+        while work:
+            complements, pending = work.pop()
+            if pending.size > MINOR_CHUNK:
+                work.append((complements, pending[MINOR_CHUNK:]))
+                pending = pending[:MINOR_CHUNK]
+            parent, r, c = np.unravel_index(pending, complements.shape)
+            lanes = np.arange(pending.size)
+            children = complements[parent]
+            factor = children[lanes, :, c] * inverses[children[lanes, r, c]][:, None] % p
+            children -= factor[:, :, None] * children[lanes, r][:, None, :]
+            children %= p
+            pending = extensions(children, r, c)
+            if pending is None:
+                return False
+            if pending.size:
+                work.append((children, pending))
         return True
 
 

@@ -467,6 +467,44 @@ def test_each_command_runs_one_mds_test_per_code_it_builds(
     assert len(calls) == expected, calls
 
 
+# each A block is tested once, however many of the calls above read its verdict
+MDS_VERDICTS_PER_COMMAND = [
+    pytest.param(
+        ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "structural"], 1,
+        id="verify-structural",
+    ),
+    pytest.param(
+        ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "all"], 1,
+        id="verify-all",
+    ),
+    pytest.param(
+        ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "stabilizer",
+         "--random-b", "3"], 1,
+        id="verify-random-b-trials",
+    ),
+    pytest.param(["hierarchy", "--p", "7", "--levels", "7:3,4:2,2:1"], 3, id="hierarchy"),
+    pytest.param(["slocc", "--p", "5", "--pair", "6:2", "6:2+2:1"], 2, id="slocc"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", MDS_VERDICTS_PER_COMMAND)
+def test_each_command_computes_one_mds_verdict_per_code_it_builds(
+    tmp_path, monkeypatch, capsys, argv, expected
+):
+    monkeypatch.chdir(tmp_path)
+    verdicts = []
+    compute = MatrixGF._minors_nonsingular
+
+    def counted(self):
+        verdicts.append(self.shape)
+        return compute(self)
+
+    monkeypatch.setattr(MatrixGF, "_minors_nonsingular", counted)
+    status, _ = run_cli(capsys, *argv)
+    assert status == 0
+    assert len(verdicts) == expected, verdicts
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

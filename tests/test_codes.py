@@ -409,6 +409,9 @@ def test_singleton_array_rejects_non_primitive(f5):
         singleton_array(f5, 4)  # order 2
     with pytest.raises(ValueError):
         singleton_array(f5, 0)
+    # an [n, n] code has an empty A block, but its gamma is checked all the same
+    with pytest.raises(ValueError, match="not a primitive element"):
+        mds_code(f5, 2, 2, gamma=4)
 
 
 @pytest.mark.parametrize("gamma", [7, -3, 5, 8, True, 3.0, "3"])
@@ -419,6 +422,8 @@ def test_singleton_array_refuses_gamma_outside_the_field(f5, gamma):
         singleton_array(f5, gamma)
     with pytest.raises(ValueError):
         mds_code(f5, 6, 2, gamma=gamma)
+    with pytest.raises(ValueError, match=r"gamma must be an integer in \[0, 5\)"):
+        mds_code(f5, 2, 2, gamma=gamma)
 
 
 def test_singleton_gamma_choices():

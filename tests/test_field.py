@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from kunigraph.codes import singleton_gamma
-from kunigraph.field import PrimeField
+from kunigraph.field import PrimeField, _is_prime
 
 PRIMES_TO_101 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101]
@@ -81,6 +82,20 @@ def test_results_stay_canonical(p):
     for a in range(-2 * p, 2 * p):
         if a % p:
             assert 0 <= f.inv(a) < p
+
+
+def test_inverse_table_matches_pow_for_every_prime_below_3000():
+    for p in filter(_is_prime, range(3000)):
+        table = PrimeField(p).inverses()
+        assert table.tolist() == [0] + [pow(x, -1, p) for x in range(1, p)], p
+
+
+def test_inverse_table_at_the_largest_modulus():
+    p = 1048573  # the largest prime below MAX_MODULUS
+    table = PrimeField(p).inverses()
+    assert table.shape == (p,) and table[0] == 0 and not table.flags.writeable
+    sample = np.random.default_rng(61).integers(1, p, size=10_000)
+    assert table[sample].tolist() == [pow(int(x), -1, p) for x in sample]
 
 
 def test_element_arithmetic():

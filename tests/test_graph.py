@@ -244,6 +244,12 @@ def test_hierarchy_spec_refuses_sizes_that_are_not_ints(f5, levels):
         HierarchySpec(f5, levels)
 
 
+@pytest.mark.parametrize("levels", [((6, 2), 5), (6,), ((6, 2, 1),), ("62",), ((6, 2), "21")])
+def test_hierarchy_spec_refuses_levels_that_are_not_pairs(f5, levels):
+    with pytest.raises(ValueError, match=r"each level must be an \(n, k\) pair"):
+        HierarchySpec(f5, levels)
+
+
 def test_hierarchy_spec_parsing(f5):
     assert HierarchySpec.parse(f5, "6:2,2:1").levels == ((6, 2), (2, 1))
     assert HierarchySpec.parse(f5, "6:2+2:1").levels == ((6, 2), (2, 1))

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -161,37 +162,102 @@ def test_zero_entry_fails_immediately(f5):
     assert not MatrixGF(f5, [[1, 0], [1, 1]]).all_square_submatrices_nonsingular()
 
 
+def mds_block_variant(f, rows, cols, rng):
+    """An MDS block as built, with one entry redrawn, or with one planted singular minor."""
+    entries = np.array(mds_a_matrix(f, rows, cols).entries)
+    kind = rng.integers(3)
+    if kind == 1:
+        entries[rng.integers(rows), rng.integers(cols)] = rng.integers(1, f.p)
+    elif kind == 2 and min(rows, cols) > 1:
+        t = int(rng.integers(2, min(rows, cols) + 1))
+        r = np.sort(rng.choice(rows, t, replace=False))
+        c = np.sort(rng.choice(cols, t, replace=False))
+        i, j = rng.integers(t, size=2)
+        # the one value of entry (i, j) that makes the minor on r, c singular
+        variants = np.repeat(entries[np.ix_(r, c)][None], f.p, axis=0)
+        variants[:, i, j] = np.arange(f.p)
+        entries[r[i], c[j]] = np.flatnonzero(row_reduce(variants, f)[1] < t)[0]
+    return entries
+
+
 def test_minor_check_matches_expansion_oracle():
     rng = np.random.default_rng(47)
-    f = PrimeField(5)
-    for _ in range(60):
-        rows, cols = rng.integers(1, 4, size=2)
-        entries = rng.integers(0, 5, size=(rows, cols)).tolist()
-        assert MatrixGF(f, entries).all_square_submatrices_nonsingular() == \
-            brute_minors_all_nonsingular(entries, 5)
+    for p in (2, 3, 5, 7, 13):
+        f = PrimeField(p)
+        for _ in range(60):
+            rows, cols = (int(v) for v in rng.integers(1, 5, size=2))
+            if rows + cols <= p + 1 and rng.random() < 0.5:
+                entries = mds_block_variant(f, rows, cols, rng)
+            else:
+                entries = rng.integers(rng.integers(0, 2), p, size=(rows, cols))
+            assert MatrixGF(f, entries).all_square_submatrices_nonsingular() == \
+                brute_minors_all_nonsingular(entries.tolist(), p), (p, entries.tolist())
 
 
 def test_minor_check_is_the_same_in_small_chunks(monkeypatch):
     rng = np.random.default_rng(53)
     f = PrimeField(13)
-    monkeypatch.setattr(matrix, "MINOR_CHUNK", 3)
-    for _ in range(40):
-        rows, cols = rng.integers(2, 5, size=2)
-        entries = rng.integers(1, 13, size=(rows, cols)).tolist()
-        assert MatrixGF(f, entries).all_square_submatrices_nonsingular() == \
-            brute_minors_all_nonsingular(entries, 13)
+    for _ in range(60):
+        rows, cols = (int(v) for v in rng.integers(2, 6, size=2))
+        if rng.random() < 0.75:
+            entries = mds_block_variant(f, rows, cols, rng)
+        else:
+            entries = rng.integers(1, 13, size=(rows, cols))
+        expected = brute_minors_all_nonsingular(entries.tolist(), 13)
+        for chunk in (1, 2, 3):
+            monkeypatch.setattr(matrix, "MINOR_CHUNK", chunk)
+            assert MatrixGF(f, entries).all_square_submatrices_nonsingular() == expected, \
+                (chunk, entries.tolist())
 
 
-def test_gf17_16_8_block_spans_several_chunks():
+def test_gf17_16_8_block_spans_several_chunks(monkeypatch):
     f17 = PrimeField(17)
     a = mds_a_matrix(f17, 8, 8)
-    assert comb(8, 4) ** 2 > matrix.MINOR_CHUNK
-    assert a.all_square_submatrices_nonsingular()
-    # plant a singular 2 x 2 minor on rows and columns 6, 7
-    ent = a.entries.tolist()
-    ent[7][7] = ent[6][7] * ent[7][6] * f17.inv(ent[6][6]) % 17
-    assert perm_expansion_det([row[6:] for row in ent[6:]], 17) == 0
-    assert not MatrixGF(f17, ent).all_square_submatrices_nonsingular()
+    # the 3 x 3 and 4 x 4 minors with rows and columns left below them number
+    # comb(7, 3) ** 2 each, so their complements are formed in several steps
+    monkeypatch.setattr(matrix, "MINOR_CHUNK", 256)
+    assert comb(7, 3) ** 2 > matrix.MINOR_CHUNK
+    assert MatrixGF(f17, a.entries).all_square_submatrices_nonsingular()
+    # plant a singular t x t minor on the first and on the last t rows and columns
+    for t in range(2, 9):
+        for first in (0, 8 - t):
+            span = slice(first, first + t)
+            # the one value of the minor's last entry that makes it singular
+            variants = np.repeat(a.entries[None, span, span], 17, axis=0)
+            variants[:, -1, -1] = np.arange(17)
+            singular = np.flatnonzero(row_reduce(variants, f17)[1] < t)
+            assert singular.size == 1
+            ent = np.array(a.entries)
+            ent[first + t - 1, first + t - 1] = singular[0]
+            assert not MatrixGF(f17, ent).all_square_submatrices_nonsingular(), (t, first)
+
+
+def test_minor_check_memory_is_bounded_by_the_chunk(monkeypatch):
+    # the complements live in depth-first batches of at most MINOR_CHUNK,
+    # not one batch for every minor of a size
+    f17 = PrimeField(17)
+    a = mds_a_matrix(f17, 8, 8)
+    monkeypatch.setattr(matrix, "MINOR_CHUNK", 16)
+    block = MatrixGF(f17, a.entries)
+    tracemalloc.start()
+    try:
+        assert block.all_square_submatrices_nonsingular()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024, peak
+
+
+def test_minor_check_verdict_is_computed_once(monkeypatch, f5):
+    computed = []
+    compute = MatrixGF._minors_nonsingular
+    monkeypatch.setattr(
+        MatrixGF, "_minors_nonsingular", lambda self: computed.append(1) or compute(self)
+    )
+    good, bad = MatrixGF(f5, PAPER_A), MatrixGF(f5, [[1, 1], [1, 1]])
+    assert [good.all_square_submatrices_nonsingular() for _ in range(3)] == [True] * 3
+    assert [bad.all_square_submatrices_nonsingular() for _ in range(3)] == [False] * 3
+    assert len(computed) == 2
 
 
 # ---------------------------------------------------------------------------
