@@ -60,14 +60,6 @@ class LinearCode:
         )
         return MatrixGF(self.field, g)
 
-    def messages(self) -> np.ndarray:
-        """All q^k message vectors, lexicographic, most-significant symbol first."""
-        q = self.field.p
-        count = guarded_power(q, self.k, ENUMERATION_GUARD, "enumeration guard")
-        idx = np.arange(count, dtype=np.int64)
-        powers = q ** np.arange(self.k - 1, -1, -1, dtype=np.int64)
-        return (idx[:, None] // powers[None, :]) % q
-
     def to_json(self) -> dict:
         return {
             "p": self.field.p,
@@ -90,7 +82,11 @@ def enumerate_codewords(code: LinearCode) -> np.ndarray:
     Messages run in lexicographic order (base q, most-significant symbol
     first), so row i encodes the message with index i.
     """
-    return (code.messages() @ code.generator.entries) % code.field.p
+    q = code.field.p
+    count = guarded_power(q, code.k, ENUMERATION_GUARD, "enumeration guard")
+    powers = q ** np.arange(code.k - 1, -1, -1, dtype=np.int64)
+    messages = np.arange(count, dtype=np.int64)[:, None] // powers % q
+    return messages @ code.generator.entries % q
 
 
 def _information_set_generators(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
@@ -198,27 +194,16 @@ def min_distance(code: LinearCode) -> int:
 
 
 def dual_code(code: LinearCode) -> LinearCode:
-    """The [n, n-k] dual code, in standard form.
+    """The [n, n-k] dual code as [I_{n-k} | -A^T], with its coordinates rotated.
 
-    The dual is generated by H = [-A^T | I_{n-k}], which satisfies
-    G H^T = 0. One row reduction of H to reduced echelon form gives
-    [I | A'] whenever the leading (n-k) x (n-k) block of H is nonsingular;
-    otherwise no standard form exists without permuting coordinates, and
-    this raises ValueError.
+    The dual is generated by H = [-A^T | I_{n-k}] (G H^T = 0). Moving its
+    last n - k coordinates to the front gives [I | -A^T], so the code
+    returned is the dual rotated left by k: np.roll(dual.generator.entries,
+    code.k, axis=1) generates the dual itself. Weights do not change.
     """
     if code.k == code.n:
         raise ValueError("the dual of a full-dimension code is the zero code")
-    field = code.field
-    m = code.n - code.k
-    h = np.concatenate(
-        [(-code.a_matrix.entries.T) % field.p, np.eye(m, dtype=np.int64)], axis=1
-    )
-    reduced = row_reduce(h[None], field)[0][0]
-    if not np.array_equal(reduced[:, :m], np.eye(m, dtype=np.int64)):
-        raise ValueError(
-            "dual generator cannot be put in standard form without a column permutation"
-        )
-    return LinearCode(MatrixGF(field, reduced[:, m:]))
+    return LinearCode(MatrixGF(code.field, -code.a_matrix.entries.T))
 
 
 def _check_gamma(field: PrimeField, gamma) -> None:

@@ -35,7 +35,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .codes import LinearCode, enumerate_codewords
-from .errors import guarded_power
+from .errors import guarded_power, integer_array
 from .graph import Adjacency
 
 STATE_GUARD = 1 << 24  # max q**n amplitudes
@@ -327,7 +327,7 @@ def reduced_density(state: StateVector, subset) -> np.ndarray:
     tensor with S's digits as rows and the rest's as columns, so one
     reduction costs d_S^2 d_rest complex multiply-adds.
     """
-    subset = sorted(set(int(s) for s in subset))
+    subset = sorted(set(integer_array(subset, "subset").tolist()))
     if not subset:
         raise ValueError("subset must be nonempty")
     if subset[0] < 1 or subset[-1] > state.n:
@@ -410,10 +410,10 @@ def support_count(state: StateVector) -> int:
 def eigencheck(state: StateVector, x_exp, z_exp) -> bool:
     """True iff prod_i X_i^{x[i]} Z_i^{z[i]} fixes the state within NORM_TOL."""
     out = state
-    for i, e in enumerate(np.asarray(z_exp, dtype=np.int64)):
+    for i, e in enumerate(integer_array(z_exp, "z exponents")):
         if e % state.q:
             out = apply_z(out, i + 1, int(e))
-    for i, e in enumerate(np.asarray(x_exp, dtype=np.int64)):
+    for i, e in enumerate(integer_array(x_exp, "x exponents")):
         if e % state.q:
             out = apply_x(out, i + 1, int(e))
     return bool(np.max(np.abs(out.amplitudes - state.amplitudes)) <= NORM_TOL)

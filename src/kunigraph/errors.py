@@ -1,4 +1,6 @@
-"""Shared exception types and the size test behind every q^e guard."""
+"""Shared exception types, the q^e size guard test and the integer input test."""
+
+import numpy as np
 
 
 class ResourceLimitError(ValueError):
@@ -22,3 +24,14 @@ def guarded_power(base: int, exponent: int, limit: int, guard: str) -> int:
         if power > limit:
             raise ResourceLimitError(f"{base}^{exponent} exceeds {guard} {limit}")
     return power
+
+
+def integer_array(values, what: str) -> np.ndarray:
+    """np.asarray(values); floats, bools and strings are refused, never truncated.
+
+    An empty array passes, so the caller's own emptiness test decides it.
+    """
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr

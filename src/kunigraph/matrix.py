@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import integer_array
 from .field import PrimeField
 
 
@@ -23,11 +24,9 @@ class MatrixGF:
     __slots__ = ("field", "rows", "cols", "entries", "_minors_verdict")
 
     def __init__(self, field: PrimeField, entries):
-        arr = np.asarray(entries)
+        arr = integer_array(entries, "entries")
         if arr.ndim != 2:
             raise ValueError("entries must be a 2-D grid")
-        if arr.size and arr.dtype.kind not in "iu":
-            raise ValueError(f"entries must be integers, got dtype {arr.dtype}")
         arr = np.mod(arr, field.p).astype(np.int64, copy=False)
         arr.setflags(write=False)
         object.__setattr__(self, "field", field)

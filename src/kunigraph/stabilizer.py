@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import min_support_sweep
 from .codes import LinearCode
-from .errors import guarded_power
+from .errors import guarded_power, integer_array
 from .graph import Adjacency, general_adjacency
 from .matrix import MatrixGF
 
@@ -37,7 +37,7 @@ def graph_generators(adj: Adjacency) -> np.ndarray:
 def support_weight(w, adj: Adjacency) -> int:
     """|supp(w) union supp(Gamma w mod q)| for one exponent vector."""
     q = adj.field.p
-    w = np.mod(np.asarray(w, dtype=np.int64), q)
+    w = np.mod(integer_array(w, "w").astype(np.int64), q)
     if w.shape != (adj.n,):
         raise ValueError(f"w must have length {adj.n}")
     z = (adj.gamma.entries @ w) % q

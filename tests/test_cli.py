@@ -14,7 +14,7 @@ from kunigraph import (
     mds_code,
     state_from_code,
 )
-from kunigraph import cli
+from kunigraph import cli, codes
 from kunigraph.matrix import MatrixGF
 
 
@@ -214,6 +214,62 @@ def test_verify_negative_exit_when_methods_disagree(capsys, monkeypatch):
     )
     assert status == 1
     assert doc["result"]["agree"] is False
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ("--levels", "6:2,4:2"),  # AME: B raises k from 2 to 3
+        ("--levels", "6:1,5:2"),  # B raises k from 1 to 2
+        ("--n", "6", "--k", "2", "--b-mode", "random", "--seed", "8"),  # from 2 to 3
+    ],
+)
+def test_verify_agrees_when_b_raises_k_above_the_structural_bound(capsys, spec):
+    status, doc = run_json(capsys, "verify", "--p", "5", *spec, "--method", "all")
+    res = doc["result"]
+    assert res["k_stabilizer"] == res["k_dense"] == res["k_structural"] + 1
+    assert res["agree"] is True and status == 0
+
+
+def test_verify_negative_when_exact_routes_fall_below_the_structural_bound(
+    capsys, monkeypatch
+):
+    # both exact routes say k = 1 on 6:2+2:1, whose outer code gives k >= 2
+    monkeypatch.setattr(cli, "minimum_support", lambda adj: (2, np.zeros(adj.n, int)))
+    monkeypatch.setattr(cli, "uniformity_by_oracle", lambda state: 1)
+    status, doc = run_json(
+        capsys, "verify", "--p", "5", "--levels", "6:2,2:1", "--method", "all"
+    )
+    res = doc["result"]
+    assert (res["k_structural"], res["k_stabilizer"], res["k_dense"]) == (2, 1, 1)
+    assert res["agree"] is False and status == 1
+
+
+def test_verify_single_zero_b_level_needs_the_exact_structural_k(capsys, monkeypatch):
+    # above d-dual - 1 is no bound here: one zero-B level is exactly k-uniform
+    monkeypatch.setattr(cli, "minimum_support", lambda adj: (4, np.zeros(adj.n, int)))
+    monkeypatch.setattr(cli, "uniformity_by_oracle", lambda state: 3)
+    status, doc = run_json(
+        capsys, "verify", "--p", "5", "--n", "6", "--k", "2", "--method", "all"
+    )
+    res = doc["result"]
+    assert (res["k_structural"], res["k_stabilizer"], res["k_dense"]) == (2, 3, 3)
+    assert res["agree"] is False and status == 1
+
+
+@pytest.mark.parametrize("p, levels, calls", [(11, "8:4", 2), (13, "11:5", 3), (17, "7:3", 3)])
+def test_structural_verify_row_reduces_only_for_information_sets(
+    capsys, monkeypatch, p, levels, calls
+):
+    # the dual comes from A itself; only min_distance's information sets reduce
+    counted = []
+    reduce = codes.row_reduce
+    monkeypatch.setattr(codes, "row_reduce", lambda *a: counted.append(1) or reduce(*a))
+    status, _ = run_json(
+        capsys, "verify", "--p", str(p), "--levels", levels, "--method", "structural"
+    )
+    assert status == 0
+    assert len(counted) == calls
 
 
 # ---------------------------------------------------------------------------

@@ -354,11 +354,12 @@ def test_dual_of_mds_62_is_orthogonal_everywhere(f5):
     code = mds_code(f5, 6, 2)
     dual = dual_code(code)
     assert (dual.n, dual.k) == (6, 4)
-    prod = (dual.generator.entries @ code.generator.entries.T) % 5
-    assert np.all(prod == 0)
+    # the dual comes with its coordinates rotated left by k; roll them back
+    h = np.roll(dual.generator.entries, code.k, axis=1)
+    assert np.all((h @ code.generator.entries.T) % 5 == 0)
     # exhaustive: every dual codeword is orthogonal to every codeword
     words = enumerate_codewords(code)
-    dwords = enumerate_codewords(dual)
+    dwords = np.roll(enumerate_codewords(dual), code.k, axis=1)
     assert np.all((dwords @ words.T) % 5 == 0)
 
 
@@ -378,11 +379,40 @@ def test_dual_of_full_dimension_code_rejected(f5):
         dual_code(LinearCode(MatrixGF.zeros(f5, 2, 0)))
 
 
-def test_dual_without_standard_form_is_rejected(f5):
-    # -A^T singular, so [-A^T | I] cannot pivot on its leading block
+def min_null_weight(code):
+    """Least weight of a nonzero v with G v = 0, over all q^n vectors (oracle)."""
+    q = code.field.p
+    vectors = nonzero_messages(q, code.n)
+    null = vectors[np.all(vectors @ code.generator.entries.T % q == 0, axis=1)]
+    return int(np.count_nonzero(null, axis=1).min())
+
+
+def test_dual_without_standard_form_is_formed(f5):
+    # -A^T is singular, so [-A^T | I] has no standard form on its own coordinates
     code = LinearCode(MatrixGF(f5, [[1, 1], [1, 1]]))
-    with pytest.raises(ValueError, match="standard form without a column permutation"):
-        dual_code(code)
+    dual = dual_code(code)
+    h = np.roll(dual.generator.entries, code.k, axis=1)
+    assert np.all((h @ code.generator.entries.T) % 5 == 0)
+    assert min_distance(dual) == min_null_weight(code) == 2
+
+
+def test_dual_distance_matches_the_null_space_on_random_codes():
+    # every q^n vector is checked against G, so q^n stays at most 4000
+    rng = np.random.default_rng(11)
+    count = 0
+    for p in (2, 3, 5):
+        f = PrimeField(p)
+        for n in range(2, 12):
+            if p**n > 4000:
+                break
+            for k in range(1, n):
+                for _ in range(4):
+                    code = LinearCode(MatrixGF(f, rng.integers(0, p, size=(k, n - k))))
+                    dual = dual_code(code)
+                    assert min_distance(dual) == min_null_weight(code), code.a_matrix
+                    assert dual_code(dual) == code
+                    count += 1
+    assert count == 344
 
 
 # ---------------------------------------------------------------------------

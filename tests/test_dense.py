@@ -256,6 +256,17 @@ def test_generator_products_match_sweep_weights():
             assert np.count_nonzero((x != 0) | (z != 0)) == support_weight(w, adj), w
 
 
+def test_eigencheck_refuses_exponents_that_are_not_integers(adj62):
+    # x + 0.4 and z + 0.3 would truncate to a generator row, which passes
+    g = graph_state(adj62)
+    row = graph_generators(adj62)[0]
+    x, z = row[: adj62.n], row[adj62.n :]
+    assert eigencheck(g, x, z) and eigencheck(g, x.tolist(), tuple(z))
+    for bad_x, bad_z in ((x + 0.4, z + 0.3), (x, z + 0.3), (x.astype(bool), z)):
+        with pytest.raises(ValueError, match="must be integers"):
+            eigencheck(g, bad_x, bad_z)
+
+
 def test_non_stabilizer_operator_fails_eigencheck(f5):
     adj = bipartite_adjacency(LinearCode(MatrixGF(f5, [[1]])))
     g = graph_state(adj)
@@ -480,6 +491,16 @@ def test_reduction_subset_validation(phi60):
         reduced_density(phi60, [0])
     with pytest.raises(ValueError):
         reduced_density(phi60, [7])
+
+
+def test_reduction_refuses_subsets_that_are_not_integers(phi60):
+    # [1.7, 2] would truncate to {1, 2}
+    for subset in ([1.7, 2], [True, True], ["1", "2"]):
+        with pytest.raises(ValueError, match="must be integers"):
+            reduced_density(phi60, subset)
+    want = reduced_density(phi60, [1, 2])
+    for subset in (range(1, 3), (2, 1), np.array([1, 2, 2])):
+        assert np.array_equal(reduced_density(phi60, subset), want)
 
 
 def test_ghz_is_exactly_1_uniform(f5):

@@ -104,6 +104,16 @@ def test_support_weight_length_check(f5, bell_adj):
         support_weight([1, 0, 0], bell_adj)
 
 
+def test_support_weight_refuses_exponents_that_are_not_integers(f5):
+    # 1.9 and 4.2 would truncate to the vector [0, 0, 0, 1, 0, 4] of weight 3
+    adj = bipartite_adjacency(mds_code(f5, 6, 2))
+    for w in ([0, 0, 0, 1.9, 0, 4.2], [False, False, False, True, False, True], list("000104")):
+        with pytest.raises(ValueError, match="must be integers"):
+            support_weight(w, adj)
+    for w in ([0, 0, 0, 1, 0, 4], range(6), (0, 0, 0, 1, 0, 4), np.arange(6, dtype=np.uint8)):
+        assert support_weight(w, adj) == support_weight(list(w), adj)
+
+
 # ---------------------------------------------------------------------------
 # uniformity sweeps
 # ---------------------------------------------------------------------------
