@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .dense import StateVector, rank_of_reduction, support_count, uniformity_by_oracle
+from .dense import StateVector, reduction_ranks, support_count, uniformity_by_oracle
 
 
 def _register(states) -> int:
@@ -31,16 +31,17 @@ def _rank_table(states, subsets) -> dict[tuple[int, ...], tuple[int, ...]]:
     """rank(rho_S) of every state, for each subset S in the order given.
 
     rho_S and rho_{S^c} of a pure state share their nonzero spectrum, so a
-    subset whose complement is already in the table takes its ranks.
+    subset whose complement comes earlier takes its ranks. The others are
+    ranked together, one reduction_ranks call per state.
     """
     qudits = set(range(1, _register(states) + 1))
-    table = {}
+    source = {}  # each subset, and the subset whose ranks it takes
     for subset in subsets:
         complement = tuple(sorted(qudits.difference(subset)))
-        table[subset] = table.get(complement) or tuple(
-            rank_of_reduction(state, subset) for state in states
-        )
-    return table
+        source.setdefault(subset, source.get(complement, subset))
+    fresh = [subset for subset, src in source.items() if src == subset]
+    ranked = dict(zip(fresh, zip(*(reduction_ranks(state, fresh) for state in states))))
+    return {subset: ranked[src] for subset, src in source.items()}
 
 
 def _half_subsets(n: int):

@@ -23,6 +23,15 @@ maximally mixed) and its failure passes up to supersets, so one prefix
 and at |S| = n/2 it checks only the subsets holding qudit 1, since rho_S
 and rho_{S^c} of a pure state share their spectrum.
 
+Ranks (the SLOCC rank tables) never form rho_S. The code-superposition
+and hierarchy-operator states are exactly zero on all but q^k or
+q^{k+k*} amplitudes, so reduction_ranks keeps only the exactly nonzero
+entries of M, splits them into the connected blocks of their pattern
+(rho_S is block diagonal over them) and ranks each block by the Gram on
+its smaller side, one batched SVD per block shape. All subsets of a call
+are ranked together from one support, so a subset costs work in the
+support, not in q^n.
+
 Index convention: basis index = base-q digits of the qudit values with
 qudit 1 the most significant digit.
 """
@@ -43,6 +52,7 @@ NORM_TOL = 1e-9
 SUPPORT_TOL = 1e-9
 RANK_TOL = 1e-8
 MIX_TOL = 1e-8
+RANK_CHUNK = 1 << 20  # entries per array of one reduction_ranks pass
 
 
 class StateVector:
@@ -319,6 +329,16 @@ def to_graph_form(state: StateVector, positions) -> StateVector:
     return out
 
 
+def _subset_axes(state: StateVector, subset) -> list[int]:
+    """The 0-based axes of a 1-based subset; repeats and order are ignored."""
+    subset = sorted(set(integer_array(subset, "subset").tolist()))
+    if not subset:
+        raise ValueError("subset must be nonempty")
+    if subset[0] < 1 or subset[-1] > state.n:
+        raise ValueError("subset indices out of range")
+    return [s - 1 for s in subset]
+
+
 def reduced_density(state: StateVector, subset) -> np.ndarray:
     """rho_S = M M^H, the exact partial trace over the complement of subset.
 
@@ -327,12 +347,7 @@ def reduced_density(state: StateVector, subset) -> np.ndarray:
     tensor with S's digits as rows and the rest's as columns, so one
     reduction costs d_S^2 d_rest complex multiply-adds.
     """
-    subset = sorted(set(integer_array(subset, "subset").tolist()))
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    if subset[0] < 1 or subset[-1] > state.n:
-        raise ValueError("subset indices out of range")
-    axes = [s - 1 for s in subset]
+    axes = _subset_axes(state, subset)
     rest = [i for i in range(state.n) if i not in axes]
     arr = np.transpose(state.tensor(), axes + rest)
     mat = arr.reshape(state.q ** len(axes), state.q ** len(rest))
@@ -394,12 +409,165 @@ def uniformity_by_oracle(state: StateVector) -> int:
 
 
 def rank_of_reduction(state: StateVector, subset) -> int:
-    """Numerical rank of rho_S: singular values above RANK_TOL * largest."""
-    rho = reduced_density(state, subset)
-    s = np.linalg.svd(rho, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_TOL * s[0]))
+    """Numerical rank of rho_S: eigenvalues above RANK_TOL * the largest.
+
+    One subset of reduction_ranks, which never forms rho_S itself.
+    """
+    return reduction_ranks(state, [subset])[0]
+
+
+def reduction_ranks(state: StateVector, subsets) -> list[int]:
+    """rank(rho_S) for each subset S, from the state's exactly nonzero amplitudes.
+
+    rho_S = M M^H, with M the amplitudes with S's digits as rows and the
+    rest's as columns. Three exact identities shrink it:
+
+    * a row or column of M that is exactly zero adds exact zeros to rho_S,
+      so only the support entries of M are kept (no tolerance is applied);
+    * rows that share no column have a zero inner product, so rho_S is
+      block diagonal over the connected blocks of the support pattern, and
+      its spectrum is the union of the blocks' spectra;
+    * a block B has the nonzero spectrum of its Gram on its smaller side,
+      B B^H or B^H B; a block of one row or column has the 1 x 1 Gram of
+      its squared norm. rho_S and rho_{S^c} share their nonzero spectrum
+      too, so the smaller of S and S^c gives the rows, which are labelled
+      through dense arrays of q^{min(|S|, n - |S|)} entries.
+
+    Each Gram is ranked as rank_of_reduction always did: one batched SVD
+    per block shape, counting singular values above RANK_TOL times the
+    largest over all blocks of the subset. Blocks are found by min-label
+    propagation between rows and columns, sorted by column key, with
+    pointer jumping; a support made of complete blocks, as every code and
+    hierarchy state is, settles in one round. The support is found once
+    per call, and all subsets are ranked together, in passes whose arrays
+    stay below RANK_CHUNK entries (one subset per pass at least). A subset
+    costs O(s log s) for a support of s entries, plus q^{min(|S|, n - |S|)}
+    row labels and its blocks' Grams, however large q^n is.
+    """
+    n, q = state.n, state.q
+    sides = []
+    for subset in subsets:
+        axes = _subset_axes(state, subset)
+        sides.append(axes if 2 * len(axes) <= n else sorted(set(range(n)).difference(axes)))
+    support = np.flatnonzero(state.amplitudes)
+    values = state.amplitudes[support]
+    s, half = len(support), q ** (n // 2)
+    per_pass = max(1, RANK_CHUNK // max(half, s * min(s, half)))
+    ranks = []
+    for lo in range(0, len(sides), per_pass):
+        ranks += _ranks_in_one_pass(support, values, q, n, sides[lo:lo + per_pass])
+    return ranks
+
+
+def _ranks_in_one_pass(support, values, q: int, n: int, sides) -> list[int]:
+    """The rank of each reduction, given its row side, over one support.
+
+    Support entry e of subset j is an edge from row (j, e's digits on the
+    side) to column (j, e's other digits). Rows are numbered densely, subset
+    after subset; a column is keyed by e's index with the side's digits
+    zeroed, plus j q^n. Keys are formed in float64, exactly, since each is
+    below q^n <= STATE_GUARD.
+    """
+    m, s = len(sides), len(support)
+    place = q ** np.arange(n - 1, -1, -1)
+    owner = [j for j, side in enumerate(sides) for _ in side]
+    axis = [i for side in sides for i in side]
+    weights = np.zeros((2 * m, n))
+    weights[owner, axis] = [q ** (len(side) - 1 - t) for side in sides for t in range(len(side))]
+    weights[[m + j for j in owner], axis] = place[axis]
+    keys = np.empty((2 * m, s), dtype=np.int64)
+    step = max(1, RANK_CHUNK // n)
+    for lo in range(0, s, step):
+        keys[:, lo:lo + step] = weights @ (support[lo:lo + step] // place[:, None] % q)
+    width = [q ** len(side) for side in sides]
+    rows = (keys[:m] + np.cumsum([0] + width[:-1])[:, None]).ravel()
+    cols = (support - keys[m:] + q**n * np.arange(m)[:, None]).ravel()
+    order = np.argsort(cols)
+    cols, rows = cols[order], rows[order]
+    new_col = np.empty(len(cols), dtype=bool)
+    new_col[0] = True
+    np.not_equal(cols[1:], cols[:-1], out=new_col[1:])
+    col_start = np.flatnonzero(new_col)
+    col = np.cumsum(new_col) - 1
+
+    # label each row by the least row of its block: pull each column's least
+    # label into its rows, then jump to the label's label, until every column
+    # holds one label
+    label = np.arange(sum(width))
+    while True:
+        root = label[rows]
+        least = np.minimum.reduceat(root, col_start)[col]
+        if np.array_equal(root, least):
+            break
+        np.minimum.at(label, rows, least)
+        label = label[label]
+
+    # a block is named by its root, its least row
+    present = np.zeros(len(label), dtype=bool)
+    present[rows] = True
+    row = np.flatnonzero(present)
+    height = np.bincount(label[row], minlength=len(label))
+    col_root = root[col_start]
+    breadth = np.bincount(col_root, minlength=len(label))
+    blocks = np.flatnonzero(height)
+    thin = np.minimum(height, breadth) == 1
+    subset_of = np.repeat(np.arange(m), width)
+    values = values[order % s]
+    norms = np.bincount(root, weights=np.abs(values) ** 2, minlength=len(label))
+    single = blocks[thin[blocks]]
+    spectra = [(subset_of[single], norms[single, None])]
+    wide = blocks[~thin[blocks]]
+    if len(wide):
+        spectra += _wide_spectra(wide, label, root, rows, row, col, col_root, values,
+                                 height, breadth, subset_of)
+    owners = np.concatenate([owner for owner, _ in spectra])
+    top = np.zeros(m)
+    np.maximum.at(top, owners, np.concatenate([sv[:, 0] for _, sv in spectra]))
+    above = [np.count_nonzero(sv > RANK_TOL * top[owner, None], axis=1) for owner, sv in spectra]
+    return np.bincount(owners, weights=np.concatenate(above), minlength=m).astype(int).tolist()
+
+
+def _wide_spectra(wide, label, root, rows, row, col, col_root, values, height, breadth, subset_of):
+    """Gram spectra of the blocks named in wide, one batched SVD per block shape.
+
+    Each block's rows and columns are numbered from 0 in ascending order,
+    and the blocks of one shape fill consecutive runs of one buffer.
+    """
+    R = len(label)
+    start = np.zeros(R, dtype=np.int64)
+    start[wide] = np.cumsum(height[wide]) - height[wide]
+    held = np.zeros(R, dtype=bool)
+    held[wide] = True
+    mine = row[held[label[row]]]
+    mine = mine[np.argsort(label[mine] * R + mine)]
+    row_pos = np.zeros(R, dtype=np.int64)
+    row_pos[mine] = np.arange(len(mine)) - start[label[mine]]
+    start[wide] = np.cumsum(breadth[wide]) - breadth[wide]
+    mine = np.flatnonzero(held[col_root])
+    mine = mine[np.argsort(col_root[mine] * len(col_root) + mine)]
+    col_pos = np.zeros(len(col_root), dtype=np.int64)
+    col_pos[mine] = np.arange(len(mine)) - start[col_root[mine]]
+
+    shape = height[wide] * (breadth.max() + 1) + breadth[wide]
+    ranked = np.argsort(shape)
+    wide, shape = wide[ranked], shape[ranked]
+    size = height[wide] * breadth[wide]
+    offset = np.zeros(R, dtype=np.int64)
+    offset[wide] = np.cumsum(size) - size
+    keep = held[root]
+    b = root[keep]
+    buf = np.zeros(int(size.sum()), dtype=np.complex128)
+    buf[offset[b] + row_pos[rows[keep]] * breadth[b] + col_pos[col[keep]]] = values[keep]
+    spectra = []
+    bounds = [0, *(np.flatnonzero(shape[1:] != shape[:-1]) + 1).tolist(), len(shape)]
+    for g0, g1 in zip(bounds[:-1], bounds[1:]):
+        group = wide[g0:g1]
+        r, c, o = int(height[group[0]]), int(breadth[group[0]]), int(offset[group[0]])
+        mat = buf[o:o + len(group) * r * c].reshape(len(group), r, c)
+        adj = mat.conj().swapaxes(1, 2)
+        gram = mat @ adj if r <= c else adj @ mat
+        spectra.append((subset_of[group], np.linalg.svd(gram, compute_uv=False)))
+    return spectra
 
 
 def support_count(state: StateVector) -> int:

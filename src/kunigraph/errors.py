@@ -1,5 +1,7 @@
 """Shared exception types, the q^e size guard test and the integer input test."""
 
+from itertools import chain
+
 import numpy as np
 
 
@@ -29,9 +31,18 @@ def guarded_power(base: int, exponent: int, limit: int, guard: str) -> int:
 def integer_array(values, what: str) -> np.ndarray:
     """np.asarray(values); floats, bools and strings are refused, never truncated.
 
-    An empty array passes, so the caller's own emptiness test decides it.
+    An ndarray is judged by its dtype. Any other input is also scanned entry
+    by entry, because numpy promotes [True, 2] to an integer array: a bool or
+    numpy bool entry among ints is refused too. An empty array passes, so the
+    caller's own emptiness test decides it.
     """
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    if arr.size and not isinstance(values, np.ndarray):
+        entries = values
+        for _ in range(arr.ndim - 1):
+            entries = chain.from_iterable(entries)
+        if not {bool, np.bool_}.isdisjoint(map(type, entries)):
+            raise ValueError(f"{what} must be integers, got a boolean entry")
     return arr

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kunigraph import dense
+from kunigraph import analysis
 from kunigraph.analysis import (
     ame_support_check,
     rank_spectrum,
@@ -23,15 +23,15 @@ from kunigraph.matrix import MatrixGF
 
 
 def count_reductions(monkeypatch):
-    """Sizes of the subsets reduced_density is called on from now on."""
+    """Sizes of the subsets the rank table reduces from now on, state by state."""
     sizes = []
-    reduce = dense.reduced_density
+    rank = analysis.reduction_ranks
 
-    def counted(state, subset):
-        sizes.append(len(subset))
-        return reduce(state, subset)
+    def counted(state, subsets):
+        sizes.extend(map(len, subsets))
+        return rank(state, subsets)
 
-    monkeypatch.setattr(dense, "reduced_density", counted)
+    monkeypatch.setattr(analysis, "reduction_ranks", counted)
     return sizes
 
 

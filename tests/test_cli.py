@@ -346,16 +346,16 @@ def test_slocc_runs_the_dense_oracle_once_per_state(capsys, monkeypatch):
 
 def test_slocc_ranks_each_complementary_pair_once(capsys, monkeypatch):
     # the 12 split subsets of 6 qudits form 6 complementary pairs per state
-    from kunigraph import dense
+    from kunigraph import analysis
 
     calls = []
-    reduce = dense.reduced_density
+    rank = analysis.reduction_ranks
 
-    def counted(state, subset):
-        calls.append(tuple(subset))
-        return reduce(state, subset)
+    def counted(state, subsets):
+        calls.extend(subsets)
+        return rank(state, subsets)
 
-    monkeypatch.setattr(dense, "reduced_density", counted)
+    monkeypatch.setattr(analysis, "reduction_ranks", counted)
     status, doc = run_json(capsys, "slocc", "--p", "5", "--pair", "6:2", "6:2+2:1")
     assert status == 0
     assert len(calls) == 12

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from kunigraph import dense
 from kunigraph.codes import LinearCode, mds_code
 from kunigraph.dense import (
+    RANK_TOL,
     SUPPORT_TOL,
     StateVector,
     apply_O,
@@ -23,6 +24,7 @@ from kunigraph.dense import (
     is_maximally_mixed,
     rank_of_reduction,
     reduced_density,
+    reduction_ranks,
     state_from_code,
     support_count,
     to_graph_form,
@@ -30,7 +32,7 @@ from kunigraph.dense import (
 )
 from kunigraph.errors import ResourceLimitError
 from kunigraph.field import PrimeField
-from kunigraph.graph import Adjacency, bipartite_adjacency
+from kunigraph.graph import Adjacency, HierarchySpec, bipartite_adjacency, level_codes
 from kunigraph.matrix import MatrixGF
 from kunigraph.stabilizer import graph_generators, support_weight, uniformity_index
 
@@ -264,6 +266,15 @@ def test_eigencheck_refuses_exponents_that_are_not_integers(adj62):
     assert eigencheck(g, x, z) and eigencheck(g, x.tolist(), tuple(z))
     for bad_x, bad_z in ((x + 0.4, z + 0.3), (x, z + 0.3), (x.astype(bool), z)):
         with pytest.raises(ValueError, match="must be integers"):
+            eigencheck(g, bad_x, bad_z)
+
+
+def test_eigencheck_refuses_booleans_among_integers(adj62):
+    g = graph_state(adj62)
+    row = graph_generators(adj62)[0]
+    x, z = row[: adj62.n].tolist(), row[adj62.n :].tolist()
+    for bad_x, bad_z in (([True] + x[1:], z), (x, [np.True_] + z[1:])):
+        with pytest.raises(ValueError, match="got a boolean entry"):
             eigencheck(g, bad_x, bad_z)
 
 
@@ -503,6 +514,16 @@ def test_reduction_refuses_subsets_that_are_not_integers(phi60):
         assert np.array_equal(reduced_density(phi60, subset), want)
 
 
+@pytest.mark.parametrize("reduce", [reduced_density, rank_of_reduction])
+def test_reduction_refuses_booleans_among_integers(phi60, reduce):
+    # numpy promotes [True, 2] to [1, 2]
+    for subset in ([True, 2], (1, np.True_)):
+        with pytest.raises(ValueError, match="got a boolean entry"):
+            reduce(phi60, subset)
+    with pytest.raises(ValueError, match="got a boolean entry"):
+        reduction_ranks(phi60, [(1, 2), [3, False]])
+
+
 def test_ghz_is_exactly_1_uniform(f5):
     ghz = state_from_code(LinearCode(MatrixGF(f5, [[1, 1]])))
     assert uniformity_by_oracle(ghz) == 1
@@ -580,6 +601,123 @@ def test_reductions_are_hermitian_with_unit_trace(phi62):
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12), (state, subset)
         want = _partial_trace(state, subset)
         assert np.max(np.abs(rho - want)) < 1e-12, (state, subset)
+
+
+# ---------------------------------------------------------------------------
+# ranks by blocks against the SVD of the whole reduction
+# ---------------------------------------------------------------------------
+
+def _rank_by_svd(state: StateVector, subset) -> int:
+    """rank rho_S by an SVD of reduced_density, counting above RANK_TOL * the largest.
+
+    It reduces to the smaller of S and S^c, whose rho has the same nonzero
+    spectrum, so that every proper subset of a register of 2e4 amplitudes
+    stays within a 141 x 141 SVD. The whole register gives rho = |psi><psi|.
+    """
+    rest = sorted(set(range(1, state.n + 1)).difference(subset))
+    side = rest if rest and len(rest) < len(set(subset)) else subset
+    s = np.linalg.svd(reduced_density(state, side), compute_uv=False)
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
+
+
+MAX_N = {2: 14, 3: 9, 5: 6, 7: 5}  # q^n <= 2e4
+
+
+@st.composite
+def supported_states(draw, p: int):
+    """A state of q^n <= 2e4 amplitudes with a drawn support, and 1-4 proper subsets.
+
+    The support is random, block diagonal for the first subset (rows of S
+    and columns of S^c dealt into groups, an entry kept when its row and
+    column share a group), a chain for the first subset (rows in a random
+    order, each joined to the next through a column of its own, so that
+    labelling the block takes several rounds), one amplitude, or full.
+    Some states also get entries of exactly 1e-14 where they were zero:
+    they are nonzero, so they stay in the support and may join blocks.
+    """
+    n = draw(st.integers(2, MAX_N[p]))
+    dim = p**n
+    subsets = draw(
+        st.lists(st.sets(st.integers(1, n), min_size=1, max_size=n - 1), min_size=1, max_size=4)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "blocks", "chain", "one", "full"]))
+    amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    keep = np.ones(dim, dtype=bool)
+    digits = np.array(np.unravel_index(np.arange(dim), (p,) * n))
+    axes = sorted(s - 1 for s in subsets[0])
+    rest = sorted(set(range(n)).difference(axes))
+    row = np.ravel_multi_index(tuple(digits[axes]), (p,) * len(axes))
+    col = np.ravel_multi_index(tuple(digits[rest]), (p,) * len(rest))
+    if kind == "random":
+        keep = rng.random(dim) < draw(st.sampled_from([0.002, 0.02, 0.2, 0.6]))
+    elif kind == "chain":
+        links = min(p ** len(axes), p ** len(rest) + 1)
+        chain = rng.permutation(p ** len(axes))[:links]
+        link = rng.permutation(p ** len(rest))[: links - 1]
+        held = np.zeros((p ** len(axes), p ** len(rest)), dtype=bool)
+        held[chain[:-1], link] = held[chain[1:], link] = True
+        keep = held[row, col]
+    elif kind == "blocks":
+        groups = draw(st.integers(1, 6))
+        row_group = rng.integers(groups, size=p ** len(axes))
+        col_group = rng.integers(groups, size=p ** len(rest))
+        keep = row_group[row] == col_group[col]
+        keep &= rng.random(dim) < draw(st.sampled_from([0.5, 1.0]))
+    elif kind == "one":
+        keep = np.zeros(dim, dtype=bool)
+    keep[rng.integers(dim)] = True
+    amp[~keep] = 0
+    amp /= np.linalg.norm(amp)
+    if draw(st.booleans()):
+        zeros = np.flatnonzero(amp == 0)
+        tiny = rng.choice(zeros, size=min(len(zeros), draw(st.integers(1, 40))), replace=False)
+        amp[tiny] = 1e-14
+    return StateVector(p, n, amp), [sorted(s) for s in subsets]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@given(data=st.data())
+@settings(max_examples=30)
+def test_ranks_by_blocks_match_the_full_svd(p, data):
+    state, subsets = data.draw(supported_states(p))
+    want = [_rank_by_svd(state, subset) for subset in subsets]
+    assert reduction_ranks(state, subsets) == want
+    assert rank_of_reduction(state, subsets[0]) == want[0]
+
+
+def _slocc_states(p: int, spec: str) -> StateVector:
+    codes = level_codes(HierarchySpec.parse(PrimeField(p), spec))
+    return state_from_code(codes[0]) if len(codes) == 1 else hierarchy_state_from_codes(*codes)
+
+
+@pytest.mark.parametrize(
+    "p, spec",
+    [(5, "5:2"), (5, "5:2+2:1"), (5, "6:2"), (5, "6:2+2:1"), (7, "6:2"), (7, "6:2+3:1")],
+)
+def test_ranks_by_blocks_match_the_full_svd_on_slocc_states(p, spec):
+    # every proper subset of the states the slocc corpus compares
+    state = _slocc_states(p, spec)
+    n = state.n
+    subsets = [s for size in range(1, n) for s in combinations(range(1, n + 1), size)]
+    assert reduction_ranks(state, subsets) == [_rank_by_svd(state, s) for s in subsets]
+
+
+def test_ranks_by_blocks_on_random_and_whole_registers():
+    for spec, subset in RANDOM_REDUCTIONS:
+        state = _random_state(*spec)
+        assert rank_of_reduction(state, subset) == _rank_by_svd(state, subset), (spec, subset)
+    ghz = _slocc_states(3, "4:1")
+    assert rank_of_reduction(ghz, [1, 2, 3, 4]) == 1 == _rank_by_svd(ghz, [1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 600])
+def test_ranks_do_not_depend_on_how_many_entries_a_pass_holds(monkeypatch, chunk):
+    state = _slocc_states(5, "6:2+2:1")
+    subsets = [s for size in (1, 2, 3, 5) for s in combinations(range(1, 7), size)]
+    want = reduction_ranks(state, subsets)
+    monkeypatch.setattr(dense, "RANK_CHUNK", chunk)
+    assert reduction_ranks(state, subsets) == want
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,16 @@ def test_constructor_refuses_non_integer_entries(f5, entries):
         MatrixGF(f5, entries)
 
 
+@pytest.mark.parametrize(
+    "entries", [[[True, 2]], [[0, 1], [np.True_, 3]], ((1, False),), [np.array([True]), np.array([2])]]
+)
+def test_constructor_refuses_booleans_among_integers(f5, entries):
+    # numpy promotes these to int64: [[True, 2]] would read as [[1, 2]]
+    with pytest.raises(ValueError, match="must be integers, got a boolean entry"):
+        MatrixGF(f5, entries)
+    assert MatrixGF(f5, [[np.int64(1), 2]]).entries.tolist() == [[1, 2]]
+
+
 def test_constructor_reduces_integers_and_keeps_empty_grids(f5):
     assert MatrixGF(f5, [[7, -1]]).entries.tolist() == [[2, 4]]
     assert MatrixGF(f5, np.array([[6, 255]], dtype=np.uint8)).entries.tolist() == [[1, 0]]

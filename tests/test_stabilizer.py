@@ -99,6 +99,14 @@ def test_62_single_generator_support(f5):
     assert support_weight([1, 0, 0, 0, 0, 0], adj) == 5
 
 
+def test_support_weight_refuses_booleans_among_integers(f5):
+    # [True, 0, 0, 1, 0, 4] would read as [1, 0, 0, 1, 0, 4], of weight 6
+    adj = bipartite_adjacency(mds_code(f5, 6, 2))
+    for w in ([True, 0, 0, 1, 0, 4], (0, 0, 0, np.True_, 0, 4)):
+        with pytest.raises(ValueError, match="got a boolean entry"):
+            support_weight(w, adj)
+
+
 def test_support_weight_length_check(f5, bell_adj):
     with pytest.raises(ValueError):
         support_weight([1, 0, 0], bell_adj)
