@@ -30,7 +30,7 @@ from .dense import (
     state_from_code,
     uniformity_by_oracle,
 )
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, read_int
 from .graph import (
     Adjacency,
     HierarchySpec,
@@ -65,6 +65,8 @@ ECHO = {
     "pair": None,
     "adjacency": None,
 }
+# flags main reads with errors.read_int; given ones arrive as text, defaults as ints
+INTEGER_FLAGS = ("p", "n", "k", "gamma", "seed", "random_b")
 
 
 def _dumps(doc) -> str:
@@ -146,8 +148,6 @@ def cmd_build(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    if args.random_b < 0:
-        raise ValueError(f"--random-b needs a trial count >= 0, got {args.random_b}")
     spec = _resolve_spec(args)
     if args.random_b and len(spec.levels) != 1:
         raise ValueError("--random-b applies to single-level builds only")
@@ -246,18 +246,17 @@ def cmd_slocc(args) -> tuple[dict, int]:
             reports.append(rank_split_check(base_state, hier_state, ns, k0, ks, labels=labels))
     if not reports:
         reports.append(rank_spectrum_check(base_state, hier_state, labels=labels))
-    if n % 2 == 1:
+    # ranks that distinguish the pair leave a state of less than full rank, not AME
+    if n % 2 == 1 and reports[0]["verdict"] != "distinguished":
         try:
             reports.append(ame_support_check(base_state, hier_state, labels=labels))
         except ValueError:  # a state that is not AME: no support report
             pass
-    verdicts = [r["verdict"] for r in reports]
-    overall = "distinguished" if any(v == "distinguished" for v in verdicts) else verdicts[-1]
     result = {
         "states": list(labels),
         "forms": [base_form, hier_form],
         "reports": reports,
-        "verdict": overall,
+        "verdict": reports[-1]["verdict"],
     }
     return result, EXIT_OK
 
@@ -277,11 +276,11 @@ def cmd_export(args) -> tuple[dict, int]:
 
 
 def _add_construction_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=int, required=True, help="prime local dimension")
-    sub.add_argument("--n", type=int, help="qudit count (single-level shorthand)")
-    sub.add_argument("--k", type=int, help="code dimension (single-level shorthand)")
+    sub.add_argument("--p", required=True, help="prime local dimension")
+    sub.add_argument("--n", help="qudit count (single-level shorthand)")
+    sub.add_argument("--k", help="code dimension (single-level shorthand)")
     sub.add_argument("--levels", type=str, help='hierarchy levels, e.g. "6:2,2:1"')
-    sub.add_argument("--gamma", type=int, help="primitive element for the Singleton array")
+    sub.add_argument("--gamma", help="primitive element for the Singleton array")
 
 
 def _add_random_block_flags(sub: argparse.ArgumentParser) -> None:
@@ -291,7 +290,7 @@ def _add_random_block_flags(sub: argparse.ArgumentParser) -> None:
         default=ECHO["b_mode"],
         help="lower-right block: zero (hierarchy levels) or seeded random",
     )
-    sub.add_argument("--seed", type=int, default=ECHO["seed"], help="seed for randomized parts")
+    sub.add_argument("--seed", default=ECHO["seed"], help="seed for randomized parts")
 
 
 @cache
@@ -322,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--random-b",
-        type=int,
         default=ECHO["random_b"],
         metavar="N",
         help="also sweep N seeded random B blocks and require k >= code k",
@@ -335,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hier.set_defaults(run=cmd_hierarchy)
 
     p_slocc = subs.add_parser("slocc", help="rank/support discrimination of two states")
-    p_slocc.add_argument("--p", type=int, required=True)
-    p_slocc.add_argument("--gamma", type=int)
+    p_slocc.add_argument("--p", required=True)
+    p_slocc.add_argument("--gamma")
     p_slocc.add_argument(
         "--pair",
         nargs=2,
@@ -357,13 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = {"subcommand": args.subcommand}
-    config.update((key, getattr(args, key, default)) for key, default in ECHO.items())
-    n, k = getattr(args, "n", None), getattr(args, "k", None)
-    config["levels"] = config["levels"] or (
-        f"{n}:{k}" if n is not None and k is not None else None
-    )
     try:
+        for key in INTEGER_FLAGS:
+            if isinstance(text := getattr(args, key, None), str):
+                setattr(args, key, read_int(text, "--" + key.replace("_", "-")))
         result, status = args.run(args)
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
@@ -372,6 +367,11 @@ def main(argv=None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.subcommand != "export" or args.out:
+        config = {"subcommand": args.subcommand}
+        config.update((key, getattr(args, key, default)) for key, default in ECHO.items())
+        n, k = getattr(args, "n", None), getattr(args, "k", None)
+        if not config["levels"] and n is not None and k is not None:
+            config["levels"] = f"{n}:{k}"
         doc = {"tool": "kunigraph", "version": __version__, "config": config, "result": result}
         sys.stdout.write(_dumps(doc))
     return status

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import guarded_power
+from .errors import guarded_power, is_int
 from .field import PrimeField
 from .matrix import MatrixGF, json_field_and_grid, row_reduce
 
@@ -209,7 +209,7 @@ def dual_code(code: LinearCode) -> LinearCode:
 def _check_gamma(field: PrimeField, gamma) -> None:
     """Refuse a gamma that is not a primitive int in [0, q); it is never reduced mod q."""
     q = field.p
-    if not isinstance(gamma, int) or isinstance(gamma, bool) or not 0 <= gamma < q:
+    if not is_int(gamma) or not 0 <= gamma < q:
         raise ValueError(f"gamma must be an integer in [0, {q}), got {gamma!r}")
     if not field.is_primitive(gamma):
         raise ValueError(f"{gamma} is not a primitive element of GF({q})")

@@ -44,7 +44,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .codes import LinearCode, enumerate_codewords
-from .errors import guarded_power, integer_array
+from .errors import guarded_power, integer_array, json_counts
 from .graph import Adjacency
 
 STATE_GUARD = 1 << 24  # max q**n amplitudes
@@ -120,15 +120,10 @@ class StateVector:
         finite and within NORM_TOL of 1. Each of these refusals is a
         ValueError.
         """
-        if not isinstance(payload, dict):
-            raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
-        for key in ("q", "n", "amplitudes"):
-            if key not in payload:
-                raise ValueError(f"missing key {key!r}")
-        q, n, sparse = payload["q"], payload["n"], payload.get("sparse", False)
-        if type(q) is not int or type(n) is not int or q < 2 or n < 1:
-            raise ValueError(f"'q' >= 2 and 'n' >= 1 must be integers, got {q!r} and {n!r}")
-        if not isinstance(sparse, bool):
+        q, n = json_counts(payload, ("q", "n"), "amplitudes")
+        if q < 2 or n < 1:
+            raise ValueError(f"need 'q' >= 2 and 'n' >= 1, got {q} and {n}")
+        if not isinstance(sparse := payload.get("sparse", False), bool):
             raise ValueError(f"'sparse' must be a boolean, got {sparse!r}")
         if not sparse:
             return cls(q, n, _dense_amplitudes(payload["amplitudes"]))
@@ -140,16 +135,13 @@ class StateVector:
                 index, re, im = zip(*payload["amplitudes"], strict=True)
             except TypeError:  # a null, number or other unsized entry
                 raise ValueError("sparse amplitudes must be [index, re, im] triples") from None
-            if set(map(type, index)) != {int}:
-                raise ValueError("sparse indices must be integers")
-            index = np.array(index)  # object dtype if an index overflows int64
-            if index.dtype.kind != "i" or index.min() < 0 or index.max() >= dim:
-                raise ValueError(f"sparse indices must lie in [0, {dim})")
+            index = integer_array(index, "sparse indices")
             ordered = np.sort(index)
+            if index.ndim != 1 or ordered[0] < 0 or ordered[-1] >= dim:
+                raise ValueError(f"sparse indices must lie in [0, {dim})")
             if np.any(ordered[1:] == ordered[:-1]):
                 raise ValueError("sparse indices repeat")
-            amp.real[index] = _float_parts(re)
-            amp.imag[index] = _float_parts(im)
+            amp.real[index], amp.imag[index] = _float_parts(re + im).reshape(2, -1)
         return cls(q, n, amp)
 
 
@@ -258,8 +250,8 @@ def _check_qudit(state: StateVector, qudit: int) -> None:
         raise ValueError(f"qudit index {qudit} out of range 1..{state.n}")
 
 
-def apply_O(state: StateVector, n_star: int, sub_code: LinearCode) -> StateVector:
-    """The hierarchy operator of sub_code on the last n_star qudits.
+def apply_O(state: StateVector, sub_code: LinearCode) -> StateVector:
+    """The hierarchy operator of sub_code on the last n* = sub_code.n qudits.
 
     Those qudits split into the k* message digits a and the remaining
     digits b, and
@@ -278,11 +270,9 @@ def apply_O(state: StateVector, n_star: int, sub_code: LinearCode) -> StateVecto
     q = state.q
     if sub_code.field.p != q:
         raise ValueError("sub_code must share the state's local dimension")
-    if not 2 <= n_star <= state.n:
-        raise ValueError(f"n_star must lie in [2, {state.n}]")
-    if sub_code.n != n_star:
-        raise ValueError("sub_code length must equal n_star")
-    k_star, tail = sub_code.k, n_star - sub_code.k
+    if not 2 <= sub_code.n <= state.n:
+        raise ValueError(f"sub_code length must lie in [2, {state.n}]")
+    k_star, tail = sub_code.k, sub_code.n - sub_code.k
     words = enumerate_codewords(sub_code)  # row m: (m, m A*)
     messages, shifts = words[:, :k_star], words[:, k_star:]
     roots = np.exp(-2j * np.pi * np.arange(q) / q)
@@ -302,12 +292,9 @@ def apply_O(state: StateVector, n_star: int, sub_code: LinearCode) -> StateVecto
 
 def hierarchy_state_from_codes(code: LinearCode, sub_code: LinearCode) -> StateVector:
     """Level-1 hierarchy state: identity on the first n - n* qudits, O on the rest."""
-    n_star = sub_code.n
-    if not 2 <= n_star <= code.n - code.k:
-        raise ValueError(
-            f"sub_code length {n_star} must lie in [2, n - k] = [2, {code.n - code.k}]"
-        )
-    return apply_O(state_from_code(code), n_star, sub_code)
+    if sub_code.n > code.n - code.k:
+        raise ValueError(f"sub_code length {sub_code.n} exceeds n - k = {code.n - code.k}")
+    return apply_O(state_from_code(code), sub_code)
 
 
 def code_to_graph_fourier_positions(n: int, k: int, n_star: int = 0, k_star: int = 0) -> list[int]:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import is_int
+
 MAX_MODULUS = 1 << 20
 
 
@@ -48,7 +50,7 @@ class PrimeField:
     __slots__ = ("p", "_inverse")
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or isinstance(p, bool):
+        if not is_int(p):
             raise TypeError("modulus must be an integer")
         if p > MAX_MODULUS:
             raise ValueError(f"modulus {p} exceeds supported bound {MAX_MODULUS}")

@@ -16,6 +16,7 @@ from itertools import accumulate
 import numpy as np
 
 from .codes import LinearCode, mds_code
+from .errors import is_int, read_int
 from .field import PrimeField
 from .matrix import MatrixGF, json_field_and_grid
 
@@ -138,38 +139,30 @@ class HierarchySpec:
         for level in self.levels:
             if not isinstance(level, (tuple, list)) or len(level) != 2:
                 raise ValueError(f"each level must be an (n, k) pair, got {level!r}")
-        levels = tuple((n, k) for n, k in self.levels)
-        if any(not isinstance(v, int) or isinstance(v, bool) for level in levels for v in level):
-            raise ValueError(f"level sizes must be integers, got {self.levels!r}")
-        object.__setattr__(self, "levels", levels)
-        n0, k0 = levels[0]
-        if not 1 <= k0 <= n0 // 2:
-            raise ValueError(f"level 0 needs 1 <= k <= n/2, got (n, k) = ({n0}, {k0})")
-        prev_n, prev_k = n0, k0
-        for depth, (nl, kl) in enumerate(levels[1:], start=1):
-            if nl < 2:
-                raise ValueError(f"level {depth} needs at least 2 qudits, got {nl}")
-            if nl > prev_n - prev_k:
+            if not all(map(is_int, level)):
+                raise ValueError(f"level sizes must be integers, got {self.levels!r}")
+        object.__setattr__(self, "levels", tuple(map(tuple, self.levels)))
+        corner = self.levels[0][0]  # level 0 spans the whole register
+        for depth, (nl, kl) in enumerate(self.levels):
+            if nl > corner:
                 raise ValueError(
                     f"level {depth} block of {nl} qudits does not fit in the "
-                    f"remaining zero corner of size {prev_n - prev_k}"
+                    f"remaining zero corner of size {corner}"
                 )
             if not 1 <= kl <= nl // 2:
-                raise ValueError(
-                    f"level {depth} needs 1 <= k <= n/2, got (n, k) = ({nl}, {kl})"
-                )
-            prev_n, prev_k = nl, kl
+                raise ValueError(f"level {depth} needs 1 <= k <= n/2, got (n, k) = ({nl}, {kl})")
+            corner = nl - kl
 
     @classmethod
     def parse(cls, field: PrimeField, text: str) -> "HierarchySpec":
         """Parse "6:2,2:1" or "6:2+2:1" into a spec; n and k are ASCII digits."""
-        seps = text.replace("+", ",")
         levels = []
-        for token in seps.split(","):
-            parts = [part.strip() for part in token.split(":")]
-            if len(parts) != 2 or not all(part.isascii() and part.isdigit() for part in parts):
+        for token in text.replace("+", ",").split(","):
+            try:  # unpacking refuses a token that is not one n:k pair
+                n, k = (read_int(part, "a level size") for part in token.split(":"))
+            except ValueError:  # chained: the context says which part failed
                 raise ValueError(f"bad level token {token!r}, expected n:k in ASCII digits")
-            levels.append((int(parts[0]), int(parts[1])))
+            levels.append((n, k))
         return cls(field, tuple(levels))
 
     def label(self) -> str:

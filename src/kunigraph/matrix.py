@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import integer_array
+from .errors import integer_array, json_counts
 from .field import PrimeField
 
 
@@ -162,33 +162,15 @@ def row_reduce(stack: np.ndarray, field: PrimeField) -> tuple[np.ndarray, np.nda
     return stack, ranks
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def json_field_and_grid(payload, grid_key: str, *count_keys: str) -> tuple[PrimeField, list]:
+def json_field_and_grid(payload, grid_key: str, *count_keys: str) -> tuple[PrimeField, np.ndarray]:
     """The field and entry grid of a JSON payload, validated exactly.
 
-    The payload must be an object with an integer "p", integer counts
-    under count_keys and, under grid_key, a list of rows whose entries
-    are integers in [0, p). Booleans do not count as integers, and
-    nothing is truncated or reduced mod p. Every refusal is a ValueError.
+    An object with integers under "p" and count_keys and, under grid_key, a
+    grid of integers in [0, p), which MatrixGF refuses unless it is 2-D.
+    Nothing is truncated or reduced mod p. Every refusal is a ValueError.
     """
-    if not isinstance(payload, dict):
-        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
-    for key in ("p", grid_key, *count_keys):
-        if key not in payload:
-            raise ValueError(f"missing key {key!r}")
-    for key in ("p", *count_keys):
-        if not _is_int(payload[key]):
-            raise ValueError(f"{key!r} must be an integer, got {payload[key]!r}")
-    field = PrimeField(payload["p"])
-    grid = payload[grid_key]
-    if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
-        raise ValueError(f"{grid_key!r} must be a list of rows")
-    for row in grid:
-        for value in row:
-            if not _is_int(value) or not 0 <= value < field.p:
-                raise ValueError(f"entry {value!r} is not an integer in [0, {field.p})")
-    return field, grid
-
+    field = PrimeField(json_counts(payload, ("p", *count_keys), grid_key)[0])
+    entries = integer_array(payload[grid_key], "entries")
+    if entries.size and (entries.min() < 0 or entries.max() >= field.p):
+        raise ValueError(f"entries must lie in [0, {field.p})")
+    return field, entries

@@ -373,6 +373,28 @@ def test_slocc_odd_register_pair_that_is_not_ame(capsys):
     assert doc["result"]["verdict"] == "distinguished"
 
 
+@pytest.mark.parametrize("pair, expected", [(("5:1", "5:1+2:1"), 0), (("5:2", "5:2+2:1"), 2)])
+def test_slocc_runs_the_support_check_only_on_pairs_the_ranks_leave_open(
+    capsys, monkeypatch, pair, expected
+):
+    # ranks that distinguish the pair leave a state of less than full rank,
+    # which is not AME, so the support check could only refuse it
+    from kunigraph import analysis, dense
+
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return dense.uniformity_by_oracle(state)
+
+    monkeypatch.setattr(analysis, "uniformity_by_oracle", counted)
+    status, doc = run_json(capsys, "slocc", "--p", "5", "--pair", *pair)
+    assert status == 0
+    assert len(calls) == expected
+    tests = [report["test"] for report in doc["result"]["reports"]]
+    assert ("ame_support_counts" in tests) == bool(expected)
+
+
 def test_slocc_rejects_states_on_different_registers(capsys):
     status, out = run_cli(capsys, "slocc", "--p", "5", "--pair", "4:2", "6:2")
     assert status == 2

@@ -388,13 +388,13 @@ def test_operator_images_are_orthonormal(f5):
     assert np.max(np.abs(gram - np.eye(25))) < 1e-12
 
 
-def _apply_O_by_labels(state: StateVector, n_star: int, sub_code: LinearCode) -> np.ndarray:
-    """O by its definition, one basis label of the last n_star qudits at a time.
+def _apply_O_by_labels(state: StateVector, sub_code: LinearCode) -> np.ndarray:
+    """O by its definition, one basis label of the last n_star = sub_code.n qudits at a time.
 
     Label (i_1, ..., i_{n_star}) maps to Z^{-i_1} ... Z^{-i_{k*}} X^{i_{k*+1}} ...
     X^{i_{n_star}} applied to the code state of sub_code; the map extends linearly.
     """
-    q, k_star = state.q, sub_code.k
+    q, n_star, k_star = state.q, sub_code.n, sub_code.k
     base = state_from_code(sub_code)
     mat = state.amplitudes.reshape(-1, q**n_star)
     out = np.zeros_like(mat)
@@ -422,7 +422,7 @@ def test_operator_matches_its_per_label_definition(p, level, sub):
     f = PrimeField(p)
     code, sub_code = mds_code(f, *level), mds_code(f, *sub)
     got = hierarchy_state_from_codes(code, sub_code)
-    want = _apply_O_by_labels(state_from_code(code), sub_code.n, sub_code)
+    want = _apply_O_by_labels(state_from_code(code), sub_code)
     assert np.max(np.abs(got.amplitudes - want)) < 1e-12
 
 
@@ -441,8 +441,8 @@ def test_operator_matches_its_definition_on_other_states(p, graph, sub):
     else:
         state = graph_state(bipartite_adjacency(mds_code(f, *graph)))
     sub_code = mds_code(f, *sub)
-    got = apply_O(state, sub_code.n, sub_code)
-    want = _apply_O_by_labels(state, sub_code.n, sub_code)
+    got = apply_O(state, sub_code)
+    want = _apply_O_by_labels(state, sub_code)
     assert np.max(np.abs(got.amplitudes - want)) < 1e-12
 
 
@@ -461,11 +461,9 @@ def test_operator_memory_stays_near_the_state_size(f5):
 
 def test_operator_validation(f5, phi60):
     with pytest.raises(ValueError):
-        apply_O(phi60, 2, mds_code(PrimeField(7), 2, 1))  # wrong field
+        apply_O(phi60, mds_code(PrimeField(7), 2, 1))  # wrong field
     with pytest.raises(ValueError):
-        apply_O(phi60, 1, mds_code(f5, 2, 1))  # n_star too small
-    with pytest.raises(ValueError):
-        apply_O(phi60, 3, mds_code(f5, 2, 1))  # length mismatch
+        apply_O(phi60, mds_code(f5, 1, 1))  # n_star too small
     with pytest.raises(ValueError):
         hierarchy_state_from_codes(mds_code(f5, 6, 2), mds_code(f5, 5, 2))  # 5 > n - k
 
