@@ -44,23 +44,24 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .codes import LinearCode, enumerate_codewords
-from .errors import guarded_power, integer_array, json_counts
+from .errors import guarded_power, integer_array, is_int, json_counts
 from .graph import Adjacency
 
 STATE_GUARD = 1 << 24  # max q**n amplitudes
 NORM_TOL = 1e-9
-SUPPORT_TOL = 1e-9
 RANK_TOL = 1e-8
 MIX_TOL = 1e-8
 RANK_CHUNK = 1 << 20  # entries per array of one reduction_ranks pass
 
 
 class StateVector:
-    """A normalized pure state of n qudits with local dimension q."""
+    """A normalized pure state of n qudits with local dimension q; q and n are ints."""
 
     __slots__ = ("q", "n", "amplitudes")
 
     def __init__(self, q: int, n: int, amplitudes):
+        if not (is_int(q) and is_int(n)):
+            raise ValueError(f"q and n must be integers, got {q!r} and {n!r}")
         dim = guarded_power(q, n, STATE_GUARD, "state guard")
         amp = np.asarray(amplitudes, dtype=np.complex128)
         if amp.shape != (dim,):
@@ -71,8 +72,8 @@ class StateVector:
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         amp.setflags(write=False)
-        object.__setattr__(self, "q", int(q))
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "amplitudes", amp)
 
     def __setattr__(self, name, value):
@@ -91,13 +92,15 @@ class StateVector:
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)))
 
     def to_json(self, sparse: bool = False) -> dict:
-        """JSON payload: [re, im] pairs, or [index, re, im] over the support when sparse.
+        """JSON payload: [re, im] pairs, or [index, re, im] for every nonzero amplitude when sparse.
 
-        Built in bulk by tolist(), which yields Python ints and floats.
+        Built in bulk by tolist(), which yields Python ints and floats; an
+        amplitude is left out of the sparse form only if it is exactly 0, so
+        from_json gives back the same vector either way.
         """
         amp = np.ascontiguousarray(self.amplitudes)
         if sparse:
-            idx = np.nonzero(np.abs(amp) > SUPPORT_TOL)[0]
+            idx = np.flatnonzero(amp)
             kept = amp[idx]
             entries = zip(idx.tolist(), kept.real.tolist(), kept.imag.tolist())
             amps = list(map(list, entries))
@@ -208,14 +211,14 @@ def graph_state(adj: Adjacency) -> StateVector:
 
 def apply_x(state: StateVector, qudit: int, power: int = 1) -> StateVector:
     """X^power on one qudit: |j> -> |j + power mod q>. Qudits are 1-based."""
-    _check_qudit(state, qudit)
+    _check_qudit(state, qudit, power)
     arr = np.roll(state.tensor(), power % state.q, axis=qudit - 1)
     return StateVector(state.q, state.n, arr.reshape(-1))
 
 
 def apply_z(state: StateVector, qudit: int, power: int = 1) -> StateVector:
     """Z^power on one qudit: |j> -> omega^{power j} |j>."""
-    _check_qudit(state, qudit)
+    _check_qudit(state, qudit, power)
     q = state.q
     phases = np.exp(2j * np.pi * ((power % q) * np.arange(q) % q) / q)
     shape = [1] * state.n
@@ -245,9 +248,12 @@ def apply_fourier(state: StateVector, qudit: int, inverse: bool = False) -> Stat
     return StateVector(state.q, state.n, np.ascontiguousarray(arr).reshape(-1))
 
 
-def _check_qudit(state: StateVector, qudit: int) -> None:
-    if not 1 <= qudit <= state.n:
-        raise ValueError(f"qudit index {qudit} out of range 1..{state.n}")
+def _check_qudit(state: StateVector, qudit: int, power: int = 0) -> None:
+    """Refuse a qudit that is not an int in 1..n, or a gate power that is not an int."""
+    if not is_int(qudit) or not 1 <= qudit <= state.n:
+        raise ValueError(f"qudit index {qudit!r} is not an integer in 1..{state.n}")
+    if not is_int(power):
+        raise ValueError(f"gate power must be an integer, got {power!r}")
 
 
 def apply_O(state: StateVector, sub_code: LinearCode) -> StateVector:
@@ -318,7 +324,10 @@ def to_graph_form(state: StateVector, positions) -> StateVector:
 
 def _subset_axes(state: StateVector, subset) -> list[int]:
     """The 0-based axes of a 1-based subset; repeats and order are ignored."""
-    subset = sorted(set(integer_array(subset, "subset").tolist()))
+    subset = integer_array(subset, "subset")
+    if subset.ndim != 1:
+        raise ValueError("subset must be a flat list of qudit indices")
+    subset = sorted(set(subset.tolist()))
     if not subset:
         raise ValueError("subset must be nonempty")
     if subset[0] < 1 or subset[-1] > state.n:
@@ -558,8 +567,8 @@ def _wide_spectra(wide, label, root, rows, row, col, col_root, values, height, b
 
 
 def support_count(state: StateVector) -> int:
-    """Number of computational-basis amplitudes with modulus above SUPPORT_TOL."""
-    return int(np.count_nonzero(np.abs(state.amplitudes) > SUPPORT_TOL))
+    """Number of computational-basis amplitudes that are not exactly 0."""
+    return int(np.count_nonzero(state.amplitudes))
 
 
 def eigencheck(state: StateVector, x_exp, z_exp) -> bool:

@@ -1,8 +1,11 @@
-"""Prime fields GF(p): the modulus check, inverses and primitive elements."""
+"""Prime fields GF(p): the modulus check and primitive elements.
+
+Elements are plain ints. Callers add and multiply them mod p themselves and
+invert a scalar with pow(x, -1, p); matrix.py inverts its elimination pivots
+in bulk. A PrimeField holds only its modulus.
+"""
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import is_int
 
@@ -41,24 +44,21 @@ def _prime_factors(m: int) -> list[int]:
 
 
 class PrimeField:
-    """The finite field GF(p) for a prime modulus p.
+    """The finite field GF(p) for a prime p <= MAX_MODULUS; immutable and hashable.
 
-    Elements are plain ints, added and multiplied mod p by the caller;
-    inv returns the canonical representative in [0, p).
+    Its one attribute is p; elements are plain ints, reduced mod p by the caller.
     """
 
-    __slots__ = ("p", "_inverse")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not is_int(p):
-            raise TypeError("modulus must be an integer")
+            raise ValueError(f"modulus must be an integer, got {p!r}")
         if p > MAX_MODULUS:
             raise ValueError(f"modulus {p} exceeds supported bound {MAX_MODULUS}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "p", p)
-        # inverse table, filled on first use by inverses()
-        object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PrimeField is immutable")
@@ -71,30 +71,6 @@ class PrimeField:
 
     def __hash__(self) -> int:
         return hash(("PrimeField", self.p))
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse of a nonzero element."""
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(self.inverses()[a])
-
-    def inverses(self) -> np.ndarray:
-        """Read-only table of inverses indexed by element; entry 0 holds 0."""
-        if self._inverse is None:
-            # x^(p - 2) by square-and-multiply on the whole table at once;
-            # every product stays below p^2 <= 2^40
-            p, exponent = self.p, self.p - 2
-            table, power = np.ones(p, dtype=np.int64), np.arange(p, dtype=np.int64)
-            while exponent:
-                if exponent & 1:
-                    table = table * power % p
-                power = power * power % p
-                exponent >>= 1
-            table[0] = 0
-            table.setflags(write=False)
-            object.__setattr__(self, "_inverse", table)
-        return self._inverse
 
     # -- primitive elements ------------------------------------------------
 

@@ -18,6 +18,21 @@ from .field import PrimeField
 MINOR_CHUNK = 4096
 
 
+def _inverses(values: np.ndarray, p: int) -> np.ndarray:
+    """The inverse mod p of every nonzero int64 entry of values, in [0, p).
+
+    x^(p - 2) by square-and-multiply on the whole array at once, reading
+    the exponent's bits from the top; as p <= MAX_MODULUS = 2^20, a square
+    times x stays below p^3 < 2^63, so int64 holds it exactly. The
+    eliminations call this on their pivots alone, so no table of all p
+    inverses is formed.
+    """
+    inverse = values
+    for bit in bin(p - 2)[3:]:
+        inverse = inverse * inverse * values % p if bit == "1" else inverse * inverse % p
+    return inverse
+
+
 class MatrixGF:
     """An immutable rows x cols matrix with entries in GF(p)."""
 
@@ -92,7 +107,6 @@ class MatrixGF:
         MINOR_CHUNK per step, depth first.
         """
         p, rows, cols = self.field.p, self.rows, self.cols
-        inverses = self.field.inverses()
         row, col = np.arange(rows)[:, None], np.arange(cols)
         inner = (row < rows - 1) & (col < cols - 1)
 
@@ -117,7 +131,7 @@ class MatrixGF:
             parent, r, c = np.unravel_index(pending, complements.shape)
             lanes = np.arange(pending.size)
             children = complements[parent]
-            factor = children[lanes, :, c] * inverses[children[lanes, r, c]][:, None] % p
+            factor = children[lanes, :, c] * _inverses(children[lanes, r, c], p)[:, None] % p
             children -= factor[:, :, None] * children[lanes, r][:, None, :]
             children %= p
             pending = extensions(children, r, c)
@@ -134,11 +148,14 @@ def row_reduce(stack: np.ndarray, field: PrimeField) -> tuple[np.ndarray, np.nda
     stack holds int64 canonical representatives and is reduced in place;
     the caller gives it up. The B matrices are reduced in lockstep, one
     column at a time: each matrix that has a nonzero entry at or below its
-    next pivot row takes the first such row as its pivot, scales it to 1
-    and clears the column in every other row. Returns (stack, ranks).
+    next pivot row takes the first such row as its pivot and clears the
+    column in every other row without division, each row becoming
+    lead * row - entry * pivot row, so each row carries a nonzero factor
+    until the end, when it is divided by its leading entry: one batch of
+    inverses per call, of the pivots alone, so nothing of size p is formed.
+    Returns (stack, ranks).
     """
     p = field.p
-    inverses = field.inverses()
     count, rows, cols = stack.shape
     ranks = np.zeros(count, dtype=np.int64)
     row_index = np.arange(rows)
@@ -150,15 +167,20 @@ def row_reduce(stack: np.ndarray, field: PrimeField) -> tuple[np.ndarray, np.nda
         lanes = np.arange(pivoting.size)
         target = ranks[pivoting]
         source = candidates[pivoting].argmax(axis=1)
-        pivot = stack[pivoting, source, col:]
-        stack[pivoting, source, col:] = stack[pivoting, target, col:]
-        pivot = pivot * inverses[pivot[:, :1]] % p
+        # the pivot row is zero before col, so the rows' earlier entries only scale
+        pivot = stack[pivoting, source]
+        stack[pivoting, source] = stack[pivoting, target]
         factors = stack[pivoting, :, col]
         factors[lanes, target] = 0
-        block = stack[pivoting, :, col:] - factors[:, :, None] * pivot[:, None, :]
+        block = stack[pivoting] * pivot[:, None, col:col + 1] - factors[:, :, None] * pivot[:, None, :]
         block[lanes, target] = pivot
-        stack[pivoting, :, col:] = block % p
+        stack[pivoting] = block % p
         ranks[pivoting] += 1
+        if ranks.min() == rows:  # every row holds a pivot: the later columns are done
+            break
+    lead = stack[np.arange(count)[:, None], row_index, np.argmax(stack != 0, axis=2)]
+    stack *= _inverses(np.maximum(lead, 1), p)[:, :, None]  # 1 for the zero rows past each rank
+    stack %= p
     return stack, ranks
 
 

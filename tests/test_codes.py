@@ -480,7 +480,7 @@ def reference_singleton_array(field, gamma):
     q = field.p
     a = [0] * (q - 1)  # a[i] holds a_i for 1 <= i <= q-2
     for i in range(1, q - 1):
-        a[i] = field.inv(1 - pow(gamma, i, q))
+        a[i] = pow(1 - pow(gamma, i, q), -1, q)
     return [[1] * q] + [[1] + [a[i + j - 1] for j in range(1, q - i)] for i in range(1, q)]
 
 
@@ -489,7 +489,7 @@ def reference_singleton_gamma(field):
     if field.p == 2:
         return 1
     primitive = [g for g in range(2, field.p) if field.is_primitive(g)]
-    return min(primitive, key=lambda g: field.inv(1 - g))
+    return min(primitive, key=lambda g: pow(1 - g, -1, field.p))
 
 
 def primes_below(bound):
@@ -523,9 +523,9 @@ def test_mds_a_matrix_is_the_corner_of_the_full_triangle(p):
 
 def test_mds_code_builds_only_its_rectangle(monkeypatch):
     # the full GF(1021) triangle holds about 5.2e5 entries and the full gamma
-    # scan tests 1,019 candidates; a [4, 2] code needs the one value a_1
-    f = PrimeField(1021)
-    f.inverses()  # the MDS self-check's row reduction reads the whole table
+    # scan tests 1,019 candidates; a [4, 2] code needs the one value a_1. The
+    # MDS self-check inverts only its pivots, so even at the largest modulus
+    # nothing of size p is formed (a table of all p inverses would take 8 MB)
     calls = []
     is_primitive = PrimeField.is_primitive
 
@@ -534,15 +534,19 @@ def test_mds_code_builds_only_its_rectangle(monkeypatch):
         return is_primitive(field, g)
 
     monkeypatch.setattr(PrimeField, "is_primitive", counted)
-    tracemalloc.start()
-    try:
-        code = mds_code(f, 4, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert min_distance(code) == 3
-    assert peak < 64 * 1024
-    assert len(calls) <= 32
+    for p in (1021, 1048573):
+        f = PrimeField(p)
+        calls.clear()
+        tracemalloc.start()
+        try:
+            code = mds_code(f, 4, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, p
+        assert len(calls) <= 32, p
+    # q^k = 1021^2 messages fit the enumeration guard; 1048573^2 do not
+    assert min_distance(mds_code(PrimeField(1021), 4, 2)) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from kunigraph import dense
 from kunigraph.codes import LinearCode, mds_code
 from kunigraph.dense import (
     RANK_TOL,
-    SUPPORT_TOL,
     StateVector,
     apply_O,
     apply_fourier,
@@ -81,6 +80,16 @@ def test_json_round_trip_dense_and_sparse(f5):
     assert np.array_equal(StateVector.from_json(payload).amplitudes, sv.amplitudes)
 
 
+def test_sparse_json_keeps_every_nonzero_amplitude():
+    # a 1e-12 amplitude is in the support: the sparse file reads back bit for bit
+    amp = np.array([1.0, 1e-12, 0.0, -0.0, 1e-300j, 0.0])
+    sv = StateVector(6, 1, amp / np.linalg.norm(amp))
+    payload = json.loads(json.dumps(sv.to_json(sparse=True)))
+    assert [row[0] for row in payload["amplitudes"]] == [0, 1, 4]
+    assert StateVector.from_json(payload).amplitudes.tobytes() == sv.amplitudes.tobytes()
+    assert support_count(sv) == 3
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -133,7 +142,7 @@ def _elementwise_payload(sv: StateVector, sparse: bool) -> dict:
     """The payload built one amplitude at a time: the reference for to_json."""
     amp = sv.amplitudes
     if sparse:
-        idx = np.nonzero(np.abs(amp) > SUPPORT_TOL)[0]
+        idx = [i for i in range(len(amp)) if amp[i] != 0]
         rows = [[int(i), float(amp[i].real), float(amp[i].imag)] for i in idx]
         return {"q": sv.q, "n": sv.n, "sparse": True, "amplitudes": rows}
     return {"q": sv.q, "n": sv.n, "amplitudes": [[float(a.real), float(a.imag)] for a in amp]}

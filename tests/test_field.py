@@ -3,6 +3,7 @@ import pytest
 
 from kunigraph.codes import singleton_gamma
 from kunigraph.field import PrimeField, _is_prime
+from kunigraph.matrix import _inverses
 
 PRIMES_TO_101 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101]
@@ -33,14 +34,15 @@ def test_rejects_oversized_modulus():
 
 
 def test_rejects_non_integer_modulus():
-    with pytest.raises(TypeError):
-        PrimeField(5.0)
+    for bad in (5.0, True, "5", None):
+        with pytest.raises(ValueError):
+            PrimeField(bad)
 
 
 def test_smallest_field_is_gf2():
     f = PrimeField(2)
-    assert f.p == 2
-    assert f.inv(1) == 1
+    assert f.p == 2 and PrimeField.__slots__ == ("p",)
+    assert f.is_primitive(1) and _inverses(np.array([1]), 2).tolist() == [1]
 
 
 def test_fields_are_immutable_and_hashable():
@@ -53,62 +55,40 @@ def test_fields_are_immutable_and_hashable():
 
 
 # ---------------------------------------------------------------------------
-# multiplicative inverses
+# multiplicative inverses: the eliminations invert their pivots with
+# matrix._inverses, which takes canonical nonzero int64 values
 # ---------------------------------------------------------------------------
 
 def test_known_inverses_in_gf5():
-    f = PrimeField(5)
-    assert f.inv(3) == 2
-    assert f.inv(2) == 3
-    assert f.inv(4) == 4
-
-
-def test_zero_has_no_inverse():
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(7).inv(0)
+    assert _inverses(np.array([3, 2, 4, 1]), 5).tolist() == [2, 3, 4, 1]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_every_nonzero_element_has_inverse(p):
-    f = PrimeField(p)
-    for a in range(1, p):
-        assert a * f.inv(a) % p == 1
+    a = np.arange(1, p)
+    assert (a * _inverses(a, p) % p == 1).all()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_results_stay_canonical(p):
-    f = PrimeField(p)
-    assert f.inverses().tolist() == [0] + [f.inv(a) for a in range(1, p)]
-    for a in range(-2 * p, 2 * p):
-        if a % p:
-            assert 0 <= f.inv(a) < p
+    # any shape, as row_reduce passes a (B, rows) grid of leading entries
+    a = np.arange(1, p).reshape(-1, 1)
+    inverse = _inverses(a, p)
+    assert inverse.shape == a.shape and inverse.dtype == np.int64
+    assert inverse.ravel().tolist() == [pow(x, -1, p) for x in range(1, p)]
 
 
-def test_inverse_table_matches_pow_for_every_prime_below_3000():
+def test_pivot_inverses_match_pow_for_every_prime_below_3000():
     for p in filter(_is_prime, range(3000)):
-        table = PrimeField(p).inverses()
-        assert table.tolist() == [0] + [pow(x, -1, p) for x in range(1, p)], p
+        inverse = _inverses(np.arange(1, p), p)
+        assert inverse.tolist() == [pow(x, -1, p) for x in range(1, p)], p
 
 
-def test_inverse_table_at_the_largest_modulus():
+def test_pivot_inverses_at_the_largest_modulus():
+    # a square times x stays below p^3 < 2^63, so every product fits in int64
     p = 1048573  # the largest prime below MAX_MODULUS
-    table = PrimeField(p).inverses()
-    assert table.shape == (p,) and table[0] == 0 and not table.flags.writeable
     sample = np.random.default_rng(61).integers(1, p, size=10_000)
-    assert table[sample].tolist() == [pow(int(x), -1, p) for x in sample]
-
-
-def test_element_arithmetic():
-    # 1 - g^i is a negative operand whenever g^i > 1; inv reduces it mod p first
-    f = PrimeField(5)
-    assert f.inv(1 - pow(3, 3, 5)) == f.inv(-1) == 4
-    assert f.inv(1 - 3) == f.inv(3) == 2
-
-
-def test_int_operands_coerce_into_the_field():
-    f = PrimeField(5)
-    assert f.inv(7) == f.inv(2) == 3
-    assert f.inv(-4) == f.inv(1) == 1
+    assert _inverses(sample, p).tolist() == [pow(int(x), -1, p) for x in sample]
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,17 @@ from kunigraph import (
     MatrixGF,
     PrimeField,
     StateVector,
+    apply_fourier,
+    apply_x,
+    apply_z,
     bipartite_adjacency,
     cli,
     hierarchy_adjacency,
     mds_code,
+    reduced_density,
     state_from_code,
 )
+from kunigraph.dense import reduction_ranks
 from kunigraph.errors import integer_array, is_int, read_int
 
 # ---------------------------------------------------------------------------
@@ -72,6 +77,32 @@ def test_integer_array_refuses_entries_that_are_not_int_scalars(f5, values):
 def test_integer_array_keeps_ints_and_numpy_integers():
     assert integer_array([np.int8(3), 2, np.uint8(4)], "x").tolist() == [3, 2, 4]
     assert integer_array(((1, 2), [np.int32(3), 4]), "x").tolist() == [[1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda sv: PrimeField(5.0), id="field-float"),
+        pytest.param(lambda sv: PrimeField(True), id="field-bool"),
+        pytest.param(lambda sv: StateVector(2.0, 1, [1, 0]), id="state-float-q"),
+        pytest.param(lambda sv: StateVector(2, 1.0, [1, 0]), id="state-float-n"),
+        pytest.param(lambda sv: StateVector(True, 1, [1, 0]), id="state-bool-q"),
+        pytest.param(lambda sv: apply_x(sv, True), id="x-bool-qudit"),
+        pytest.param(lambda sv: apply_x(sv, 1.5), id="x-float-qudit"),
+        pytest.param(lambda sv: apply_z(sv, np.int64(1)), id="z-numpy-qudit"),
+        pytest.param(lambda sv: apply_fourier(sv, "1"), id="fourier-str-qudit"),
+        pytest.param(lambda sv: apply_x(sv, 1, 1.5), id="x-float-power"),
+        pytest.param(lambda sv: apply_z(sv, 1, True), id="z-bool-power"),
+        pytest.param(lambda sv: reduced_density(sv, 1), id="density-scalar-subset"),
+        pytest.param(lambda sv: reduced_density(sv, [[1], [2]]), id="density-nested-subset"),
+        pytest.param(lambda sv: reduced_density(sv, [True]), id="density-bool-subset"),
+        pytest.param(lambda sv: reduction_ranks(sv, [2]), id="ranks-scalar-subset"),
+    ],
+)
+def test_library_integer_refusals_are_value_errors(call):
+    # none may store a float or a bool, act on qudit 1 or raise TypeError
+    with pytest.raises(ValueError):
+        call(StateVector(2, 2, [1, 0, 0, 0]))
 
 
 # ---------------------------------------------------------------------------

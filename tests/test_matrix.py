@@ -132,6 +132,21 @@ def test_row_reduce_ranks_match_brute_force(case):
             assert np.count_nonzero(m[:, lead]) == 1
 
 
+def test_eliminations_invert_only_nonzero_pivots(monkeypatch):
+    # row_reduce divides once, at the end; the MDS test once per batch of minors
+    seen = []
+    inverses = matrix._inverses
+    monkeypatch.setattr(matrix, "_inverses", lambda values, p: seen.append(values) or inverses(values, p))
+    f = PrimeField(13)
+    stack = np.random.default_rng(7).integers(0, 13, size=(6, 4, 7))
+    stack[:, 3] = (2 * stack[:, 0] + stack[:, 1]) % 13
+    stack[0] = 0
+    row_reduce(stack, f)
+    assert len(seen) == 1 and seen[0].shape == (6, 4)
+    assert MatrixGF(f, mds_a_matrix(f, 5, 6).entries).all_square_submatrices_nonsingular()
+    assert len(seen) > 1 and all(values.all() for values in seen)
+
+
 def test_rank_of_a_matrix_is_its_row_reduce_rank():
     # the stack reduced in lockstep gives each matrix's rank reduced alone
     rng = np.random.default_rng(5)
