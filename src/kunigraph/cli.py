@@ -30,7 +30,7 @@ from .dense import (
     state_from_code,
     uniformity_by_oracle,
 )
-from .errors import ResourceLimitError, read_int
+from .errors import ResourceLimitError, guarded_power, read_int
 from .graph import (
     Adjacency,
     HierarchySpec,
@@ -41,7 +41,7 @@ from .graph import (
     random_b_matrix,
 )
 from .field import PrimeField
-from .stabilizer import minimum_support, verify_general_uniformity
+from .stabilizer import SWEEP_GUARD, minimum_support, verify_general_uniformity
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -149,8 +149,12 @@ def cmd_build(args) -> tuple[dict, int]:
 
 def cmd_verify(args) -> tuple[dict, int]:
     spec = _resolve_spec(args)
-    if args.random_b and len(spec.levels) != 1:
-        raise ValueError("--random-b applies to single-level builds only")
+    if args.random_b:
+        if len(spec.levels) != 1:
+            raise ValueError("--random-b applies to single-level builds only")
+        # each trial sweeps q^n vectors, so the N trials share one sweep guard
+        guard = f"sweep guard {SWEEP_GUARD} / {args.random_b} trials ="
+        guarded_power(spec.field.p, spec.levels[0][0], SWEEP_GUARD // args.random_b, guard)
     codes = level_codes(spec, gamma=args.gamma)
     code = codes[0]
     adj = _adjacency_for(codes, args.b_mode, args.seed)

@@ -16,7 +16,8 @@ a Fourier transform over Z_q^{k*} on a followed by a shift of b by the
 codeword tail of m. apply_O does exactly that: one matmul, one gather.
 
 The uniformity oracle checks reductions literally, one Gram product
-rho_S = M M^H per subset, and saves work only through exact identities.
+rho_S = M M^H per subset (summed over q slices of M for a large state),
+and saves work only through exact identities.
 Maximal mixing passes down to subsets (a partial trace of I/d is again
 maximally mixed) and its failure passes up to supersets, so one prefix
 {1, ..., s} per size bounds k from above and one full size confirms it;
@@ -51,17 +52,19 @@ STATE_GUARD = 1 << 24  # max q**n amplitudes
 NORM_TOL = 1e-9
 RANK_TOL = 1e-8
 MIX_TOL = 1e-8
-RANK_CHUNK = 1 << 20  # entries per array of one reduction_ranks pass
+RANK_CHUNK = 1 << 20  # entries a reduction's temporary arrays may hold before it splits them
 
 
 class StateVector:
-    """A normalized pure state of n qudits with local dimension q; q and n are ints."""
+    """A normalized pure state of n >= 1 qudits with local dimension q >= 2; both are ints."""
 
     __slots__ = ("q", "n", "amplitudes")
 
     def __init__(self, q: int, n: int, amplitudes):
         if not (is_int(q) and is_int(n)):
             raise ValueError(f"q and n must be integers, got {q!r} and {n!r}")
+        if q < 2 or n < 1:
+            raise ValueError(f"need q >= 2 and n >= 1, got {q} and {n}")
         dim = guarded_power(q, n, STATE_GUARD, "state guard")
         amp = np.asarray(amplitudes, dtype=np.complex128)
         if amp.shape != (dim,):
@@ -115,17 +118,16 @@ class StateVector:
     def from_json(cls, payload: dict) -> "StateVector":
         """The state of a to_json payload, read exactly.
 
-        q >= 2 and n >= 1 must be integers, and booleans do not count. In
-        the sparse form every index must be an integer in [0, q^n) that
-        appears once; nothing wraps around or overwrites another entry.
+        q and n must be integers, and booleans do not count; the
+        constructor refuses q < 2 and n < 1. In the sparse form every index
+        must be an integer in [0, q^n) that appears once; nothing wraps
+        around or overwrites another entry.
         Every real and imaginary part must be an int or a float (booleans
         do not count), each entry a list of its form's length, and the norm
         finite and within NORM_TOL of 1. Each of these refusals is a
         ValueError.
         """
         q, n = json_counts(payload, ("q", "n"), "amplitudes")
-        if q < 2 or n < 1:
-            raise ValueError(f"need 'q' >= 2 and 'n' >= 1, got {q} and {n}")
         if not isinstance(sparse := payload.get("sparse", False), bool):
             raise ValueError(f"'sparse' must be a boolean, got {sparse!r}")
         if not sparse:
@@ -192,21 +194,30 @@ def graph_state(adj: Adjacency) -> StateVector:
 
     This is the product of controlled-Z gates CZ^{Gamma_ij} applied to
     |+>^n, the joint +1 eigenstate of the generators X_i prod_j Z_j^{Gamma_ij}.
+
+    Each of the E edges adds its q x q table Gamma_ij a b mod q, below q,
+    so the exponents are summed exactly in the smallest unsigned type that
+    holds E (q - 1) (and q), reduced mod q once, and gathered from a table
+    of the q roots already divided by sqrt(q^n). The only q^n arrays are
+    those exponents and the amplitudes; each amplitude is the same root
+    divided by the same sqrt(q^n) as in a per-basis-state sum.
     """
     q = adj.field.p
     n = adj.n
     dim = guarded_power(q, n, STATE_GUARD, "state guard")
-    exps = np.zeros((q,) * n, dtype=np.int64)
-    products = np.outer(np.arange(q), np.arange(q))
     ent = adj.gamma.entries
-    for i, j in zip(*np.nonzero(np.triu(ent, 1))):
-        # edge (i, j) adds its q x q table Gamma_ij * a * b along axes i < j
+    edges = list(zip(*np.nonzero(np.triu(ent, 1))))
+    exps = np.zeros((q,) * n, dtype=np.min_scalar_type(max(len(edges) * (q - 1), q)))
+    digits = np.arange(q)
+    for i, j in edges:
+        # edge (i, j) adds its table along axes i < j
         shape = [1] * n
         shape[i] = shape[j] = q
-        exps += (int(ent[i, j]) * products % q).reshape(shape)
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    amp = roots[exps.reshape(-1) % q] / np.sqrt(dim)
-    return StateVector(q, n, amp)
+        table = np.outer(int(ent[i, j]) * digits, digits) % q
+        exps += table.astype(exps.dtype).reshape(shape)
+    exps %= q
+    roots = np.exp(2j * np.pi * digits / q) / np.sqrt(dim)
+    return StateVector(q, n, roots[exps.reshape(-1)])
 
 
 def apply_x(state: StateVector, qudit: int, power: int = 1) -> StateVector:
@@ -342,12 +353,31 @@ def reduced_density(state: StateVector, subset) -> np.ndarray:
     is indexed by the qudits of S in ascending order. M is the amplitude
     tensor with S's digits as rows and the rest's as columns, so one
     reduction costs d_S^2 d_rest complex multiply-adds.
+
+    The conjugate of M is a copy, and so is M unless S's digits already
+    come first. Once the two would pass RANK_CHUNK entries together,
+    rho_S = sum_c M_c M_c^H over the q values c of the complement's first
+    digit. Each M_c, the d_S x d_rest / q slice with that digit fixed, is a
+    view of the state, copied like M, so a reduction holds one slice and
+    its conjugate besides rho_S, not two copies of the state. Smaller
+    reductions stay one product.
     """
     axes = _subset_axes(state, subset)
     rest = [i for i in range(state.n) if i not in axes]
-    arr = np.transpose(state.tensor(), axes + rest)
-    mat = arr.reshape(state.q ** len(axes), state.q ** len(rest))
-    return mat @ mat.conj().T
+    sliced = bool(rest) and 2 * state.amplitudes.size > RANK_CHUNK
+    head = rest[:1] if sliced else []
+    arr = np.transpose(state.tensor(), head + axes + rest[len(head):])
+    rho = gram = adj = None
+    for part in arr if sliced else [arr]:
+        mat = part.reshape(state.q ** len(axes), -1)  # a copy unless part is in order
+        adj = np.conjugate(mat, out=adj)
+        if rho is None:
+            rho = mat @ adj.T
+        else:
+            gram = np.matmul(mat, adj.T, out=gram)
+            rho += gram
+        del mat  # a copied slice goes before the next one is made
+    return rho
 
 
 def is_maximally_mixed(rho: np.ndarray) -> bool:

@@ -20,9 +20,12 @@ def guarded_power(base: int, exponent: int, limit: int, guard: str) -> int:
     The power is built one factor at a time and refused as soon as it
     passes limit, so a huge exponent costs at most log2(limit) + 1 steps
     and no power past the limit is formed. Bases -1, 0 and 1 never grow
-    and are answered at once. guard names the limit in the message, as in
+    and are answered at once. A negative exponent is no size and is a
+    ValueError. guard names the limit in the message, as in
     "2^25 exceeds state guard 16777216".
     """
+    if exponent < 0:
+        raise ValueError(f"{guard} needs a nonnegative exponent, got {exponent}")
     if -1 <= base <= 1:
         return base**exponent
     power = 1

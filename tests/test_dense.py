@@ -62,6 +62,20 @@ def test_size_guard():
         StateVector(2, 25, np.zeros(2**25))
 
 
+@pytest.mark.parametrize("q, n", [(1, 3), (0, 2), (-2, 2), (2, 0), (3, -1)])
+def test_a_register_needs_q_at_least_2_and_n_at_least_1(q, n):
+    with pytest.raises(ValueError, match="need q >= 2 and n >= 1"):
+        StateVector(q, n, [1.0])
+
+
+@pytest.mark.parametrize("q, n", [(1, 3), (0, 2), (2, 0), (0, -1), (-1, -1), (1, -2), (3, -1)])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_json_registers_are_refused_by_the_constructor_rule(q, n, sparse):
+    entry = [0, 1.0, 0.0] if sparse else [1.0, 0.0]
+    with pytest.raises(ValueError):
+        StateVector.from_json({"q": q, "n": n, "sparse": sparse, "amplitudes": [entry]})
+
+
 def test_size_guard_refuses_huge_n_before_forming_q_to_the_n():
     for sparse in (False, True):
         with pytest.raises(ResourceLimitError):
@@ -226,6 +240,48 @@ def test_graph_state_matches_the_digit_formula_bitwise(case):
     gamma, p = case
     sv = graph_state(Adjacency(MatrixGF(PrimeField(p), gamma)))
     assert np.array_equal(sv.amplitudes, _digit_graph_state_amplitudes(gamma, p))
+
+
+def _random_gamma(q: int, n: int, fill: float, seed: int) -> np.ndarray:
+    """A symmetric zero-diagonal Gamma whose pairs carry a weight in 1..q-1 with chance fill."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(1, q, size=(n, n)) * (rng.random((n, n)) < fill), 1)
+    return upper + upper.T
+
+
+@pytest.mark.parametrize(
+    "q, n, fill, itemsize",
+    [
+        (2, 9, 1.0, 1),  # q = 2, the complete graph: 36 edges
+        (5, 5, 0.0, 1),  # no edge: every amplitude is 1 / sqrt(q^n)
+        (7, 5, 0.7, 1),
+        (101, 3, 1.0, 2),  # 3 edges of up to 100 need 2 bytes
+        (4093, 2, 1.0, 2),  # the largest prime whose square fits the state guard
+        (5, 6, 0.8, 8),  # an 8-byte accumulator, forced
+    ],
+)
+def test_graph_state_equals_the_phase_of_each_basis_state(monkeypatch, q, n, fill, itemsize):
+    # the last digit is vectorised, every other one is a Python int
+    gamma = _random_gamma(q, n, fill, seed=q + n)
+    smallest, chosen = np.min_scalar_type, []
+
+    def accumulator(value):
+        chosen.append(np.dtype(np.uint64) if itemsize == 8 else smallest(value))
+        return chosen[-1]
+
+    monkeypatch.setattr(np, "min_scalar_type", accumulator)
+    amp = graph_state(Adjacency(MatrixGF(PrimeField(q), gamma))).amplitudes.reshape(-1, q)
+    monkeypatch.undo()
+    assert [dtype.itemsize for dtype in chosen] == [itemsize]
+    assert chosen[0].kind == "u"
+    roots, scale = np.exp(2j * np.pi * np.arange(q) / q), np.sqrt(q**n)
+    g = gamma.tolist()
+    last = np.arange(q)
+    for row, z in enumerate(product(range(q), repeat=n - 1)):
+        fixed = sum(g[i][j] * z[i] * z[j] for i in range(n - 1) for j in range(i + 1, n - 1))
+        slope = sum(g[i][n - 1] * z[i] for i in range(n - 1))
+        want = roots[(fixed + slope * last) % q] / scale
+        assert amp[row].tobytes() == want.tobytes(), (row, z)
 
 
 def test_empty_graph_is_plus_states():
@@ -608,6 +664,55 @@ def test_reductions_are_hermitian_with_unit_trace(phi62):
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12), (state, subset)
         want = _partial_trace(state, subset)
         assert np.max(np.abs(rho - want)) < 1e-12, (state, subset)
+
+
+# subsets that the complement's first digit follows, and a whole register
+PREFIX_REDUCTIONS = [
+    ((3, 5, 10, True), [2, 1]),
+    ((5, 4, 11, False), [1]),
+    ((2, 6, 12, True), [3, 1, 2, 4, 5]),
+    ((7, 3, 13, False), [3, 2, 1]),
+]
+
+
+@pytest.mark.parametrize("spec, subset", RANDOM_REDUCTIONS + PREFIX_REDUCTIONS)
+def test_sliced_reductions_match_the_reference(monkeypatch, spec, subset):
+    # RANK_CHUNK = 1 slices every reduction that has a complement
+    state = _random_state(*spec)
+    monkeypatch.setattr(dense, "RANK_CHUNK", 1)
+    rho = reduced_density(state, subset)
+    assert np.max(np.abs(rho - rho.conj().T)) < 64 * np.finfo(float).eps
+    assert np.max(np.abs(rho - _partial_trace(state, subset))) < 1e-12
+
+
+@pytest.mark.parametrize("p, n, k", [(3, 4, 2), (5, 5, 2), (5, 6, 1), (7, 6, 3)])
+def test_sliced_reductions_give_the_same_oracle(monkeypatch, p, n, k):
+    state = graph_state(bipartite_adjacency(mds_code(PrimeField(p), n, k)))
+    monkeypatch.setattr(dense, "RANK_CHUNK", 1)
+    assert uniformity_by_oracle(state) == k
+
+
+@pytest.mark.parametrize("q, n, seed", [(3, 12, 1), (7, 7, 2)])
+def test_the_dense_route_holds_one_state_and_one_slice(q, n, seed):
+    # past the slicing size, a reduction holds one 1/q slice and its conjugate,
+    # and graph_state one byte of exponent per amplitude; copies of the state
+    # would each add one more state. Qudit 2 is isolated, so the prefix {1, 2}
+    # fails, k = 0 and every rho_S stays small
+    assert 2 * q**n > dense.RANK_CHUNK
+    adj = Adjacency(MatrixGF(PrimeField(q), _isolated(_random_gamma(q, n, 0.5, seed), 1)))
+    size = 16 * q**n
+    tracemalloc.start()
+    try:
+        state = graph_state(adj)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        k = uniformity_by_oracle(state)
+        checked = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k == uniformity_index(adj) == 0
+    assert built - size < size / 8
+    assert checked - size < (2 / q + 0.1) * size
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Every q^e guard at its limit, from both sides, without forming the power.
 
-One helper, errors.guarded_power, decides all three guards: the sweep's
-q^n exponent vectors (2^26), the q^k codewords that enumeration and
+One helper, errors.guarded_power, decides all four guards: the sweep's
+q^n exponent vectors (2^26), the N q^n vectors of verify --random-b N
+(2^26 over all N sweeps), the q^k codewords that enumeration and
 min_distance may meet (2^24) and the q^n amplitudes of a dense state
 (2^24). Its accepted side is tested directly; each public entry is tested
 on its refusing side, and on its accepted side only where that is cheap.
@@ -10,6 +11,7 @@ on its refusing side, and on its accepted side only where that is cheap.
 import numpy as np
 import pytest
 
+from kunigraph import cli
 from kunigraph.codes import ENUMERATION_GUARD, LinearCode, enumerate_codewords, min_distance
 from kunigraph.dense import STATE_GUARD, StateVector
 from kunigraph.errors import ResourceLimitError, guarded_power
@@ -56,6 +58,12 @@ def test_helper_refuses_a_huge_exponent_without_forming_the_power():
     # 5^(10^18) could not be formed at all; the helper stops past 2^24
     with pytest.raises(ResourceLimitError, match="exceeds test guard 16777216"):
         power(5, 10**18, 1 << 24)
+
+
+@pytest.mark.parametrize("base", [-1, 0, 1, 2, 7])
+def test_helper_refuses_a_negative_exponent(base):
+    with pytest.raises(ValueError, match="test guard needs a nonnegative exponent, got -1"):
+        power(base, -1, 1 << 24)
 
 
 @pytest.mark.parametrize("base, want", [(-1, 1), (0, 0), (1, 1)])
@@ -106,3 +114,26 @@ def test_state_refuses_2_to_the_25():
 def test_state_refuses_a_huge_register_without_forming_q_to_the_n():
     with pytest.raises(ResourceLimitError, match="exceeds state guard"):
         StateVector(1_000_003, 10**9, np.zeros(1))
+
+
+# 7^8 = 5,764,801 vectors a sweep, and 11 sweeps fit in 2^26 where 12 do not
+RANDOM_B = ["verify", "--p", "7", "--n", "8", "--k", "1", "--method", "stabilizer", "--random-b"]
+
+
+def test_random_b_accepts_11_sweeps_of_7_to_the_8(capsys):
+    assert 11 * 7**8 <= SWEEP_GUARD < 12 * 7**8
+    assert cli.main(RANDOM_B + ["11"]) == 0
+    assert '"trials": 11' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["12", "9" * 30])
+def test_random_b_refuses_12_or_more_sweeps_before_verifying(capsys, monkeypatch, trials):
+    def unexpected(*args):
+        raise AssertionError("a sweep ran before the refusal")
+
+    monkeypatch.setattr(cli, "minimum_support", unexpected)
+    monkeypatch.setattr(cli, "verify_general_uniformity", unexpected)
+    assert cli.main(RANDOM_B + [trials]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"7^8 exceeds sweep guard 67108864 / {int(trials)} trials =" in captured.err
