@@ -233,9 +233,8 @@ def cmd_slocc(args) -> tuple[dict, int]:
     hier_spec = HierarchySpec.parse(field, args.pair[1])
     if len(base_spec.levels) > 2 or len(hier_spec.levels) > 2:
         raise ValueError("slocc comparisons support at most two levels per state")
-    base_codes = level_codes(base_spec, gamma=args.gamma)
-    base_state, base_form = _state_for(base_codes)
-    hier_state, hier_form = _state_for(level_codes(hier_spec, gamma=args.gamma, built=base_codes))
+    base_state, base_form = _state_for(level_codes(base_spec, gamma=args.gamma))
+    hier_state, hier_form = _state_for(level_codes(hier_spec, gamma=args.gamma))
     labels = (base_spec.label(), hier_spec.label())
     n = base_state.n
     reports = []

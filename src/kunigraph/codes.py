@@ -2,9 +2,10 @@
 
 Covers codeword enumeration, exact minimum distance by information-set
 enumeration, dual codes, and construction of A matrices with all square
-submatrices nonsingular (the MDS property) from Singleton arrays. Nothing
-here imports the sweep (stabilizer, _kernels) or the dense oracle: the
-structural route must stay independent of the routes it is checked against.
+submatrices nonsingular (the MDS property, by theorem) from Singleton
+arrays. Nothing here imports the sweep (stabilizer, _kernels) or the dense
+oracle: the structural route must stay independent of the routes it is
+checked against.
 """
 
 from __future__ import annotations
@@ -257,8 +258,18 @@ def mds_a_matrix(
 
     The top-left k x m rectangle of the Singleton array S_q, built from its
     k + m - 3 values a_1 .. a_{k+m-3} alone: row 0 is all ones and row i >= 1
-    is [1, a_i, ..., a_{i+m-2}]. The rectangle fits iff k + m <= q + 1. The
-    MDS property is re-verified on the result before returning.
+    is [1, a_i, ..., a_{i+m-2}]. The rectangle fits iff k + m <= q + 1.
+
+    It is MDS by theorem, so no minor is tested here. Its entries are
+    K_ij = 1/(1 - u_i y_j) with u = (0, gamma, ..., gamma^{k-1}) and
+    y = (0, 1, gamma, ..., gamma^{m-2}), as u_i y_j = gamma^{i+j-1} for
+    i, j >= 1. That is 1 / det [[1, u_i], [y_j, 1]]: a Cauchy matrix on
+    the projective points (1 : u_i) and (y_j : 1). By Cauchy's determinant,
+    every square submatrix is nonsingular iff the u_i are distinct, the y_j
+    are distinct and u_i y_j != 1 for all i, j (MacWilliams and Sloane,
+    ch. 11). Each condition is gamma^e != 1 for exponents 1 <= e <= k + m - 3.
+    A primitive gamma, which _check_gamma demands, has gamma^e = 1 only at
+    multiples of q - 1, and k + m <= q + 1 keeps e below q - 1.
     """
     if k < 1 or m < 0:
         raise ValueError("k must be >= 1 and m >= 0")
@@ -273,11 +284,7 @@ def mds_a_matrix(
     if gamma is None:
         gamma = singleton_gamma(field)
     values = _singleton_values(field, gamma, k + m - 3)
-    rows = [[1] * m] + [[1] + values[i - 1 : i + m - 2] for i in range(1, k)]
-    a = MatrixGF(field, rows)
-    if not a.all_square_submatrices_nonsingular():
-        raise RuntimeError("Singleton rectangle failed the nonsingularity check")
-    return a
+    return MatrixGF(field, [[1] * m] + [[1] + values[i - 1 : i + m - 2] for i in range(1, k)])
 
 
 def mds_code(field: PrimeField, n: int, k: int, gamma=None) -> LinearCode:

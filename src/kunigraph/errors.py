@@ -11,7 +11,7 @@ import numpy as np
 
 
 class ResourceLimitError(ValueError):
-    """An enumeration, sweep or state-vector size guard was exceeded."""
+    """An enumeration, sweep, state-vector or minors size guard was exceeded."""
 
 
 def guarded_power(base: int, exponent: int, limit: int, guard: str) -> int:

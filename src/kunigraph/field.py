@@ -14,18 +14,7 @@ MAX_MODULUS = 1 << 20
 
 def _is_prime(p: int) -> bool:
     """Deterministic trial-division primality test."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 2 and _prime_factors(p) == [p]
 
 
 def _prime_factors(m: int) -> list[int]:

@@ -169,17 +169,9 @@ class HierarchySpec:
         return "+".join(f"{n}:{k}" for n, k in self.levels)
 
 
-def level_codes(spec: HierarchySpec, gamma=None, built=()) -> tuple[LinearCode, ...]:
-    """The [n_l, k_l] MDS code of every level, level 0 first.
-
-    built holds codes already made with the same gamma; a level whose field
-    and (n, k) match one of them reuses that code instead of building it again.
-    """
-    known = {(code.field, code.n, code.k): code for code in built}
-    return tuple(
-        known.get((spec.field, nl, kl)) or mds_code(spec.field, nl, kl, gamma=gamma)
-        for nl, kl in spec.levels
-    )
+def level_codes(spec: HierarchySpec, gamma=None) -> tuple[LinearCode, ...]:
+    """The [n_l, k_l] MDS code of every level, level 0 first."""
+    return tuple(mds_code(spec.field, nl, kl, gamma=gamma) for nl, kl in spec.levels)
 
 
 def _embed_level(adj: Adjacency, code: LinearCode) -> Adjacency:

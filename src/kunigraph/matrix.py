@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import integer_array, json_counts
+from .errors import ResourceLimitError, integer_array, json_counts
 from .field import PrimeField
 
+# max square submatrices, C(rows + cols, rows) - 1, the MDS test may meet: a
+# 12 x 12 block's 2,704,155 fit and a 16 x 16 block's 601,080,389 do not
+MINORS_GUARD = 1 << 22
 
 # Schur complements the MDS test forms per step. It walks depth first, so at
 # most one batch per minor size is alive: its peak memory grows with
@@ -105,8 +108,20 @@ class MatrixGF:
         one rank-1 update per minor, in exact integer arithmetic mod p.
         Complements are formed only for minors that have children, at most
         MINOR_CHUNK per step, depth first.
+
+        A matrix with more than MINORS_GUARD minors is refused before any
+        pivot: C(n - s + i, i) at least doubles with each i <= s, so
+        counting them up stops within 23 steps.
         """
         p, rows, cols = self.field.p, self.rows, self.cols
+        n, s = rows + cols, min(rows, cols)
+        minors = 1
+        for i in range(1, s + 1):
+            minors = minors * (n - s + i) // i  # C(n - s + i, i)
+            if minors - 1 > MINORS_GUARD:
+                raise ResourceLimitError(
+                    f"C({n}, {s}) - 1 square submatrices exceed minors guard {MINORS_GUARD}"
+                )
         row, col = np.arange(rows)[:, None], np.arange(cols)
         inner = (row < rows - 1) & (col < cols - 1)
 

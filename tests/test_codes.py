@@ -523,9 +523,8 @@ def test_mds_a_matrix_is_the_corner_of_the_full_triangle(p):
 
 def test_mds_code_builds_only_its_rectangle(monkeypatch):
     # the full GF(1021) triangle holds about 5.2e5 entries and the full gamma
-    # scan tests 1,019 candidates; a [4, 2] code needs the one value a_1. The
-    # MDS self-check inverts only its pivots, so even at the largest modulus
-    # nothing of size p is formed (a table of all p inverses would take 8 MB)
+    # scan tests 1,019 candidates; a [4, 2] code needs the one value a_1, so
+    # even at the largest modulus nothing of size p is formed
     calls = []
     is_primitive = PrimeField.is_primitive
 
@@ -575,6 +574,36 @@ def test_mds_block_shape_must_fit(f5):
 def test_mds_block_explicit_gamma(f5):
     a = mds_a_matrix(f5, 2, 4, gamma=2)
     assert a.entries.tolist() == [[1, 1, 1, 1], [1, 4, 3, 2]]
+    assert a.all_square_submatrices_nonsingular()
+
+
+def cauchy_form(field, gamma, k, m):
+    """K_ij = 1/(1 - u_i y_j), u = (0, gamma, ..., gamma^{k-1}), y = (0, 1, ..., gamma^{m-2})."""
+    q = field.p
+    u = [0] + [pow(gamma, i, q) for i in range(1, k)]
+    y = [0] + [pow(gamma, j, q) for j in range(m - 1)]
+    return [[pow(1 - ui * yj, -1, q) for yj in y] for ui in u]
+
+
+@pytest.mark.parametrize("p", primes_below(14))
+def test_every_constructible_rectangle_is_a_cauchy_matrix_with_no_singular_minor(p):
+    # construction tests no minor: the Cauchy form proves every rectangle MDS,
+    # and the general test agrees
+    f = PrimeField(p)
+    for gamma in filter(f.is_primitive, range(p)):
+        for k in range(1, p + 1):
+            for m in range(1, p + 2 - k):
+                a = mds_a_matrix(f, k, m, gamma=gamma)
+                assert a.entries.tolist() == cauchy_form(f, gamma, k, m), (gamma, k, m)
+                assert a.all_square_submatrices_nonsingular(), (gamma, k, m)
+
+
+def test_the_gf23_12x12_rectangle_has_no_singular_minor():
+    # all 2,704,155 square submatrices, the largest block under the minors guard
+    # that the tests walk in full
+    f23 = PrimeField(23)
+    a = mds_a_matrix(f23, 12, 12)
+    assert a.entries.tolist() == cauchy_form(f23, singleton_gamma(f23), 12, 12)
     assert a.all_square_submatrices_nonsingular()
 
 

@@ -1,23 +1,33 @@
-"""Every q^e guard at its limit, from both sides, without forming the power.
+"""Every size guard at its limit, from both sides, without forming the size.
 
-One helper, errors.guarded_power, decides all four guards: the sweep's
+One helper, errors.guarded_power, decides all four q^e guards: the sweep's
 q^n exponent vectors (2^26), the N q^n vectors of verify --random-b N
 (2^26 over all N sweeps), the q^k codewords that enumeration and
 min_distance may meet (2^24) and the q^n amplitudes of a dense state
 (2^24). Its accepted side is tested directly; each public entry is tested
 on its refusing side, and on its accepted side only where that is cheap.
+The MDS test caps the C(k + m, k) - 1 square submatrices of a k x m block
+at 2^22, counted up to the cap.
 """
+
+from math import comb
 
 import numpy as np
 import pytest
 
-from kunigraph import cli
-from kunigraph.codes import ENUMERATION_GUARD, LinearCode, enumerate_codewords, min_distance
+from kunigraph import cli, matrix
+from kunigraph.codes import (
+    ENUMERATION_GUARD,
+    LinearCode,
+    enumerate_codewords,
+    mds_a_matrix,
+    min_distance,
+)
 from kunigraph.dense import STATE_GUARD, StateVector
 from kunigraph.errors import ResourceLimitError, guarded_power
 from kunigraph.field import PrimeField
 from kunigraph.graph import Adjacency
-from kunigraph.matrix import MatrixGF
+from kunigraph.matrix import MINORS_GUARD, MatrixGF
 from kunigraph.stabilizer import SWEEP_GUARD, minimum_support
 
 F2 = PrimeField(2)
@@ -137,3 +147,69 @@ def test_random_b_refuses_12_or_more_sweeps_before_verifying(capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"7^8 exceeds sweep guard 67108864 / {int(trials)} trials =" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# the square submatrices of the MDS test
+# ---------------------------------------------------------------------------
+
+def test_minors_guard_admits_a_12x12_block_and_refuses_a_16x16_one():
+    assert MINORS_GUARD == 1 << 22
+    assert comb(24, 12) - 1 == 2_704_155 <= MINORS_GUARD < comb(32, 16) - 1 == 601_080_389
+
+
+def never_pivots(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("a pivot was inverted before the refusal")
+
+    monkeypatch.setattr(matrix, "_inverses", unexpected)
+
+
+# (rows, cols) on either side of 2^22: a zero block is answered at its first
+# pivot, so the admitted side costs nothing
+ADMITTED_AND_REFUSED = [((12, 12), (12, 13)), ((11, 13), (11, 14)), ((10, 15), (10, 16))]
+
+
+@pytest.mark.parametrize("admitted, refused", ADMITTED_AND_REFUSED)
+def test_minors_guard_at_its_limit_from_both_sides(monkeypatch, admitted, refused):
+    assert comb(sum(admitted), admitted[0]) - 1 <= MINORS_GUARD < comb(sum(refused), refused[0]) - 1
+    f31 = PrimeField(31)
+    assert MatrixGF.zeros(f31, *admitted).all_square_submatrices_nonsingular() is False
+    never_pivots(monkeypatch)
+    for shape in (refused, refused[::-1]):
+        with pytest.raises(ResourceLimitError, match=f"exceed minors guard {MINORS_GUARD}$"):
+            MatrixGF.zeros(f31, *shape).all_square_submatrices_nonsingular()
+
+
+def test_minors_guard_counts_every_square_submatrix(monkeypatch):
+    # the GF(7) 3 x 4 Singleton block has C(7, 3) - 1 = 34 square submatrices
+    entries = mds_a_matrix(PrimeField(7), 3, 4).entries
+    monkeypatch.setattr(matrix, "MINORS_GUARD", 34)
+    assert MatrixGF(PrimeField(7), entries).all_square_submatrices_nonsingular()
+    monkeypatch.setattr(matrix, "MINORS_GUARD", 33)
+    never_pivots(monkeypatch)
+    refused = "^C\\(7, 3\\) - 1 square submatrices exceed minors guard 33$"
+    with pytest.raises(ResourceLimitError, match=refused):
+        MatrixGF(PrimeField(7), entries).all_square_submatrices_nonsingular()
+
+
+# 601,080,389 minors: each command exits 3 before its first pivot and prints nothing
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "31", "--n", "32", "--k", "16", "--method", "structural"],
+        ["build", "--p", "31", "--n", "32", "--k", "16", "--b-mode", "random"],
+    ],
+)
+def test_commands_that_read_the_mds_verdict_exit_3_past_the_minors_guard(capsys, monkeypatch, argv):
+    never_pivots(monkeypatch)
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceed minors guard 4194304" in captured.err
+
+
+def test_construction_proves_mds_without_the_minors_guard(capsys, monkeypatch):
+    never_pivots(monkeypatch)
+    assert cli.main(["build", "--p", "31", "--n", "32", "--k", "16"]) == 0
+    assert '"k": 16' in capsys.readouterr().out

@@ -1,7 +1,11 @@
-"""The structural route shares no code with the sweep or the dense oracle.
+"""The three verification routes share no code.
 
-The routes check each other only while they stay independent, so `codes.py`
-and `matrix.py` must import nothing from `_kernels`, `stabilizer` or `dense`.
+The routes check each other only while they stay independent. The
+structural route (`codes.py`, `matrix.py`) imports nothing from the sweep
+(`stabilizer.py`, `_kernels.py`) or the dense oracle (`dense.py`); the
+sweep imports nothing from the dense oracle, and the dense oracle nothing
+from the sweep. Each rule holds for every chain of imports inside the
+package, not only for the module's own import lines.
 """
 
 import ast
@@ -12,7 +16,10 @@ import pytest
 import kunigraph
 
 PACKAGE = Path(kunigraph.__file__).parent
-OTHER_ROUTES = {"_kernels", "stabilizer", "dense"}
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+SWEEP = {"_kernels", "stabilizer"}
+DENSE = {"dense"}
+OTHER_ROUTES = SWEEP | DENSE
 
 
 def imported_names(source: str) -> set[str]:
@@ -28,10 +35,35 @@ def imported_names(source: str) -> set[str]:
     return names
 
 
+def reachable(module: str) -> set[str]:
+    """The package modules that module imports, directly or through others."""
+    seen, todo = set(), [module]
+    while todo:
+        source = (PACKAGE / f"{todo.pop()}.py").read_text(encoding="utf-8")
+        for name in (imported_names(source) & MODULES) - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
 @pytest.mark.parametrize("module", ["codes.py", "matrix.py"])
 def test_structural_route_imports_no_other_route(module):
-    source = (PACKAGE / module).read_text(encoding="utf-8")
-    assert imported_names(source) & OTHER_ROUTES == set()
+    assert reachable(Path(module).stem) & OTHER_ROUTES == set()
+
+
+@pytest.mark.parametrize(
+    "module, others",
+    [("stabilizer", DENSE), ("_kernels", DENSE), ("dense", SWEEP)],
+)
+def test_sweep_and_dense_routes_import_nothing_of_each_other(module, others):
+    assert reachable(module) & others == set()
+
+
+def test_a_chain_of_imports_is_followed():
+    # cli imports every route; analysis reaches dense through its own import
+    assert OTHER_ROUTES <= reachable("cli")
+    assert "dense" in reachable("analysis")
+    assert {"codes", "matrix"} <= reachable("stabilizer")
 
 
 @pytest.mark.parametrize(
