@@ -137,10 +137,7 @@ def cmd_build(args) -> tuple[dict, int]:
         written = ["code.json", "adjacency.json", "graph.dot"]
         if args.with_state:
             state, form = _state_for(codes if args.b_mode == "zero" else (), adj)
-            # one line, so json.dumps runs CPython's C encoder: with an indent it
-            # falls back to the pure-Python one, per amplitude
-            payload = state.to_json(sparse=args.sparse_state)
-            _write(out / "state.json", json.dumps(payload, sort_keys=True) + "\n")
+            _write(out / "state.json", state.json_text(args.sparse_state))
             written.append("state.json")
             result["state_form"] = form
         result["written"] = written

@@ -100,7 +100,9 @@ def test_state_file_holds_the_payload_of_a_fresh_state(tmp_path, capsys, form, s
     assert status == 0
     assert doc["result"]["state_form"] == form
     fresh = fresh_state(doc["result"])
-    payload = json.loads((tmp_path / "state.json").read_text(encoding="utf-8"))
+    data = (tmp_path / "state.json").read_bytes()
+    assert data == (json.dumps(fresh.to_json(sparse=sparse), sort_keys=True) + "\n").encode()
+    payload = json.loads(data)
     assert payload == fresh.to_json(sparse=sparse)
     assert np.array_equal(StateVector.from_json(payload).amplitudes, fresh.amplitudes)
 

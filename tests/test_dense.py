@@ -181,7 +181,18 @@ def test_to_json_matches_the_elementwise_payload(seed, sparse):
     assert got == want
     assert _types(got) == _types(want)
     assert json.dumps(got) == json.dumps(want)  # same float reprs, -0.0 included
+    assert sv.json_text(sparse) == json.dumps(got, sort_keys=True) + "\n"
     assert np.array_equal(StateVector.from_json(got).amplitudes, sv.amplitudes)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_json_text_keeps_zero_and_negative_zero_apart(sparse):
+    # equal by value, so a table keyed by value would write one of them twice
+    a = 2**-0.5
+    sv = StateVector(2, 1, [complex(0.0, a), complex(-0.0, a)])
+    text = sv.json_text(sparse)
+    assert text == json.dumps(sv.to_json(sparse), sort_keys=True) + "\n"
+    assert text.count("-0.0") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +627,20 @@ def test_is_maximally_mixed_tolerance():
     rho = rho.copy()
     rho[0, 1] = 1e-6
     assert not is_maximally_mixed(rho)
+
+
+def test_is_maximally_mixed_forms_one_float_matrix():
+    d = 1029
+    rho = np.eye(d, dtype=np.complex128) / d
+    tracemalloc.start()
+    try:
+        mixed = is_maximally_mixed(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mixed
+    # one float d x d array is half of rho; forming eye(d) / d and rho - it takes 1.5
+    assert peak < 0.6 * rho.nbytes
 
 
 def _partial_trace(state: StateVector, subset) -> np.ndarray:
