@@ -90,21 +90,23 @@ def enumerate_codewords(code: LinearCode) -> np.ndarray:
     return messages @ code.generator.entries % q
 
 
-def _information_set_generators(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
-    """An (m, k, n) stack of generators of the code, and the rank r_j of each set.
+def _information_sets(code: LinearCode):
+    """Yield a generator of the code systematic on each set in turn, with its rank r_j.
 
-    Set j is found greedily: one row reduction of G with the columns no
-    earlier set uses placed first. If those free columns have rank r >= 1,
-    the r pivots that land among them form the set R_j, disjoint from the
-    earlier ones, and the reduced generator is systematic on R_j plus
-    k - r columns of earlier sets. The first set is the identity block of
-    G = [I | A], with r = k. Sets of rank k are information sets; the
-    ranks never increase, so they come first. The search ends once every
-    free column is zero.
+    Set j is found greedily, only when asked for: one row reduction of G
+    with the columns no earlier set uses placed first. If those free
+    columns have rank r >= 1, the r pivots that land among them form the
+    set R_j, disjoint from the earlier ones, and the reduced generator is
+    systematic on R_j plus k - r columns of earlier sets. The first set is
+    the identity block of G = [I | A], with r = k. Sets of rank k are
+    information sets; the ranks never increase, so they come first, and
+    after sets of ranks r_1, ..., r_j the next one's rank is at most the
+    n - (r_1 + ... + r_j) free columns. The sets end once every free
+    column is zero.
     """
     k, n = code.k, code.n
     gen = code.generator.entries
-    gens, ranks = [gen], [k]
+    yield gen, k
     used = np.arange(n) < k
     while free := n - int(np.count_nonzero(used)):
         order = np.argsort(used, kind="stable")
@@ -112,13 +114,11 @@ def _information_set_generators(code: LinearCode) -> tuple[np.ndarray, np.ndarra
         pivots = np.argmax(reduced != 0, axis=1)  # ascending; G has rank k
         rank = int(np.count_nonzero(pivots < free))
         if not rank:
-            break
+            return
         systematic = np.empty_like(reduced)
         systematic[:, order] = reduced
         used[order[pivots]] = True  # the pivots past the first rank were used already
-        gens.append(systematic)
-        ranks.append(rank)
-    return np.stack(gens), np.array(ranks)
+        yield systematic, rank
 
 
 def _messages(q: int, k: int, t: int) -> int:
@@ -151,16 +151,16 @@ def min_distance(code: LinearCode) -> int:
     """Minimum Hamming weight over the nonzero codewords, exactly.
 
     Information-set enumeration (Brouwer-Zimmermann, with Zimmermann's
-    bound for sets of rank below k). Generator j of
-    _information_set_generators is systematic on k columns: its set R_j
-    of rank r_j and k - r_j columns of earlier sets. Level t encodes, with
-    a generator, each message of support size t whose first nonzero entry
-    is 1 (a scalar multiple of a codeword has its weight). A codeword that
-    generator j did not meet in levels 1..t has weight at least t + 1 on
-    its k columns, so at least t + 1 - (k - r_j) on R_j. The R_j are
-    disjoint, so a codeword no generator run so far met weighs at least
-    LB(t) = sum over them of max(0, t + 1 - (k - r_j)), which is m(t + 1)
-    for m information sets (r_j = k).
+    bound for sets of rank below k). Generator j of _information_sets is
+    systematic on k columns: its set R_j of rank r_j and k - r_j columns
+    of earlier sets. Level t encodes, with a generator, each message of
+    support size t whose first nonzero entry is 1 (a scalar multiple of a
+    codeword has its weight). A codeword that generator j did not meet in
+    levels 1..t has weight at least t + 1 on its k columns, so at least
+    t + 1 - (k - r_j) on R_j. The R_j are disjoint, so a codeword no
+    generator run so far met weighs at least LB(t) = sum over them of
+    max(0, t + 1 - (k - r_j)), which is m(t + 1) for m information sets
+    (r_j = k).
 
     The levels run with the m information sets, and the search stops
     after the first level t whose best weight is <= m(t + 1), or at t = k,
@@ -168,28 +168,47 @@ def min_distance(code: LinearCode) -> int:
     takes the fewest sets of rank below k whose LB(t) reaches the best
     weight, if running their levels 1..t costs no more messages than level
     t + 1 would: they then end the search at level t. So it never encodes
-    more messages than the search on the information sets alone. The q^k
-    enumeration guard applies.
+    more messages than the search on the information sets alone.
+
+    A set of lower rank is formed only when it could reach the best
+    weight. For t < k every term t + 1 - k is <= 0, so the sets not yet
+    formed, whose ranks sum to at most the f free columns, add at most
+    max(0, t + 1 - k + f) to LB(t) together; once that cannot reach the
+    best weight, no more are formed. The q^k enumeration guard applies.
     """
-    q, k = code.field.p, code.k
+    q, k, n = code.field.p, code.k, code.n
     guarded_power(q, k, ENUMERATION_GUARD, "enumeration guard")
-    gens, ranks = _information_set_generators(code)
-    full = int(np.count_nonzero(ranks == k))
-    best = code.n
+    sets = _information_sets(code)
+    formed, free = [], n  # the sets formed so far, and the columns none of them uses
+    for found in sets:  # the information sets, and the first set of lower rank
+        formed.append(found)
+        free -= found[1]
+        if found[1] < k or free < k:
+            break
+    full = sum(rank == k for _, rank in formed)
+    infos = np.stack([gen for gen, _ in formed[:full]])
+    best = n
     for t in range(1, k + 1):
-        best = min(best, _lightest(gens[:full], t, q))
+        best = min(best, _lightest(infos, t, q))
         bound = full * (t + 1)
         if best <= bound or t == k:
             break
-        # the fewest sets of lower rank whose LB(t) reaches best, if any
-        for extra, rank in enumerate(ranks[full:].tolist(), start=1):
-            bound += max(0, t + 1 - k + rank)
-            if bound >= best:
-                break
+        # the fewest sets of lower rank whose LB(t) reaches best, among as many
+        # as cost no more messages for levels 1..t than level t + 1 would
         catch_up = sum(_messages(q, k, s) for s in range(1, t + 1))
-        if bound >= best and extra * catch_up <= full * _messages(q, k, t + 1):
+        extra = 0
+        while bound < best and (extra + 1) * catch_up <= full * _messages(q, k, t + 1):
+            if full + extra == len(formed):
+                if bound + t + 1 - k + free < best or not (found := next(sets, None)):
+                    break
+                formed.append(found)
+                free -= found[1]
+            bound += max(0, t + 1 - k + formed[full + extra][1])
+            extra += 1
+        if bound >= best:
+            lower = np.stack([gen for gen, _ in formed[full : full + extra]])
             for s in range(1, t + 1):
-                best = min(best, _lightest(gens[full : full + extra], s, q))
+                best = min(best, _lightest(lower, s, q))
             break
     return best
 

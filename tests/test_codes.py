@@ -11,7 +11,7 @@ from kunigraph import codes
 from kunigraph.codes import (
     ENUMERATION_GUARD,
     LinearCode,
-    _information_set_generators,
+    _information_sets,
     dual_code,
     enumerate_codewords,
     mds_a_matrix,
@@ -37,6 +37,12 @@ def brute_min_weight(code):
     q = code.field.p
     words = nonzero_messages(q, code.k) @ code.generator.entries % q
     return int(np.count_nonzero(words, axis=1).min())
+
+
+def all_sets(code):
+    """Every set _information_sets forms when run to the end: the stacked generators and ranks."""
+    gens, ranks = zip(*_information_sets(code))
+    return np.stack(gens), np.array(ranks)
 
 
 def encoding_passes(monkeypatch, code):
@@ -198,7 +204,7 @@ def test_min_distance_needs_the_level_at_the_stopping_bound(monkeypatch):
     code = LinearCode(
         MatrixGF(PrimeField(3), [[1, 2, 0, 1, 2], [2, 0, 2, 2, 1], [1, 2, 1, 0, 1]])
     )
-    gens, ranks = _information_set_generators(code)
+    gens, ranks = all_sets(code)
     assert ranks.tolist() == [3, 3, 2]
     assert np.count_nonzero(gens[:2], axis=2).min() == 5
     assert np.count_nonzero(gens[2], axis=1).min() == 4
@@ -211,7 +217,7 @@ def test_information_sets_are_greedy_disjoint_and_systematic():
     # the greedy sets are {2, 3} and {5, 7}; what is left, {4, 6, 8}, has rank 1
     # and gives the set {6}, with the generator systematic on {6} plus column 0
     code = LinearCode(MatrixGF(PrimeField(5), [[1, 1, 0, 1, 1, 2, 0], [1, 2, 0, 1, 1, 3, 0]]))
-    gens, ranks = _information_set_generators(code)
+    gens, ranks = all_sets(code)
     assert len(gens) == 4
     assert ranks.tolist() == [2, 2, 2, 1]
     for gen, cols in zip(gens, ([0, 1], [2, 3], [5, 7], [6, 0])):
@@ -225,7 +231,7 @@ def test_partial_sets_are_disjoint_and_systematic():
     # GF(3), n = 7, k = 4: after the identity block the free columns 4, 5, 6
     # have rank 2 and give the set {4, 5}; column 6 then gives {6}
     code = LinearCode(MatrixGF(PrimeField(3), [[0, 1, 2], [0, 2, 1], [2, 0, 2], [2, 2, 0]]))
-    gens, ranks = _information_set_generators(code)
+    gens, ranks = all_sets(code)
     assert ranks.tolist() == [4, 2, 1]
     # each set R_j comes first, then k - r_j columns of earlier sets
     for gen, cols in zip(gens, ([0, 1, 2, 3], [4, 5, 0, 1], [6, 0, 1, 3])):
@@ -240,7 +246,7 @@ def test_a_partial_set_is_not_credited_as_a_full_one(monkeypatch):
     # the search must go on; crediting it with t + 1 = 2 would reach 1 * 2 + 2
     # = 4 >= 3, catch it up on level 1, where no word weighs 2, and report 3.
     code = LinearCode(MatrixGF(PrimeField(3), [[0, 1, 2], [0, 2, 1], [2, 0, 2], [2, 2, 0]]))
-    assert _information_set_generators(code)[1].tolist() == [4, 2, 1]
+    assert all_sets(code)[1].tolist() == [4, 2, 1]
     assert brute_min_weight(code) == 2
     assert encoding_passes(monkeypatch, code) == (2, [(1, 1), (1, 2)])
 
@@ -251,13 +257,30 @@ def test_rank_deficient_set_ends_the_gf13_11_6_dual_at_level_3(monkeypatch):
     # LB(t) = 2t + 1 reaches d = 6 at t = 3, not t = 5
     dual = dual_code(mds_code(PrimeField(13), 11, 5))
     assert (dual.n, dual.k) == (11, 6)
-    assert _information_set_generators(dual)[1].tolist() == [6, 5]
+    assert all_sets(dual)[1].tolist() == [6, 5]
     # levels 1-3 on the information set, then levels 1-3 on the rank-5 set
     d, passes = encoding_passes(monkeypatch, dual)
     assert (d, passes) == (6, [(1, 1), (1, 2), (1, 3)] * 2)
     assert messages_encoded(dual, passes) == 2 * 3066
     alone = [(1, t) for t in range(1, 6)]  # the information set alone runs to level 5
     assert messages_encoded(dual, alone) == 153402
+
+
+def test_min_distance_forms_no_set_that_cannot_reach_the_best_weight(monkeypatch):
+    # GF(13) [11, 5] has two information sets and one spare column. Every word
+    # weighs d = 7, and level 1 meets one; a set of rank 1 adds max(0, t - 3) to
+    # LB(t), while 2(t + 1) reaches 7 at t = 3, so min_distance never forms it.
+    # Its [11, 6] dual needs its rank-5 set (the GF(13) test above), and forms it.
+    # Each search thus runs one row reduction
+    code = mds_code(PrimeField(13), 11, 5)
+    assert all_sets(code)[1].tolist() == [5, 5, 1]
+    for c, d in ((code, 7), (dual_code(code), 6)):
+        formed = []
+        reduce = codes.row_reduce
+        with monkeypatch.context() as patch:
+            patch.setattr(codes, "row_reduce", lambda *a: formed.append(1) or reduce(*a))
+            assert min_distance(c) == d
+        assert len(formed) == 1
 
 
 # (p, n, k) of every code the perfbench corpora verify by the structural route
@@ -276,7 +299,7 @@ def test_min_distance_never_encodes_more_than_the_information_sets_alone(monkeyp
         code = mds_code(PrimeField(p), n, k)
         for c in (code, dual_code(code)):
             d = c.n - c.k + 1
-            m = int(np.count_nonzero(_information_set_generators(c)[1] == c.k))
+            m = int(np.count_nonzero(all_sets(c)[1] == c.k))
             last = next(t for t in range(1, c.k + 1) if d <= m * (t + 1) or t == c.k)
             got, passes = encoding_passes(monkeypatch, c)
             assert got == d, (p, c.n, c.k)
@@ -324,7 +347,7 @@ def test_min_distance_matches_brute_force_with_partial_sets_of_every_rank(monkey
             for r in range(1, k):
                 for second_set in (False, True):
                     code = planted_partial_set(rng, p, k, r, second_set)
-                    gens, ranks = _information_set_generators(code)
+                    gens, ranks = all_sets(code)
                     if not second_set:
                         assert ranks[1] == r, (p, k, r)
                     d, passes = encoding_passes(monkeypatch, code)

@@ -702,12 +702,29 @@ PREFIX_REDUCTIONS = [
 
 @pytest.mark.parametrize("spec, subset", RANDOM_REDUCTIONS + PREFIX_REDUCTIONS)
 def test_sliced_reductions_match_the_reference(monkeypatch, spec, subset):
-    # RANK_CHUNK = 1 slices every reduction that has a complement
+    # RANK_CHUNK = 1 slices every reduction that has a complement, in real arithmetic
     state = _random_state(*spec)
     monkeypatch.setattr(dense, "RANK_CHUNK", 1)
     rho = reduced_density(state, subset)
     assert np.max(np.abs(rho - rho.conj().T)) < 64 * np.finfo(float).eps
     assert np.max(np.abs(rho - _partial_trace(state, subset))) < 1e-12
+    # Im rho = C - C^T exactly, so its diagonal is exactly 0
+    assert np.array_equal(rho.imag, -rho.imag.T)
+
+
+def test_sliced_reductions_keep_an_imaginary_part_over_a_mixed_real_part(monkeypatch):
+    # (|0> + i|1>)/sqrt(2) on qubit 1 has Re rho_1 = I/2 and Im rho_1 = [[0, -1/2], [1/2, 0]];
+    # a real form that dropped or transposed C - C^T would pass the trace and the real part
+    rng = np.random.default_rng(31)
+    phi = rng.normal(size=16) + 1j * rng.normal(size=16)
+    state = StateVector(2, 5, np.kron([1, 1j], phi / np.linalg.norm(phi)) / np.sqrt(2))
+    monkeypatch.setattr(dense, "RANK_CHUNK", 1)
+    rho = reduced_density(state, [1])
+    assert np.max(np.abs(rho - _partial_trace(state, [1]))) < 1e-12
+    assert np.max(np.abs(rho.real - np.eye(2) / 2)) < 1e-12
+    assert rho.imag[1, 0] == pytest.approx(0.5, abs=1e-12)
+    assert not is_maximally_mixed(rho)
+    assert uniformity_by_oracle(state) == 0
 
 
 @pytest.mark.parametrize("p, n, k", [(3, 4, 2), (5, 5, 2), (5, 6, 1), (7, 6, 3)])
@@ -719,7 +736,7 @@ def test_sliced_reductions_give_the_same_oracle(monkeypatch, p, n, k):
 
 @pytest.mark.parametrize("q, n, seed", [(3, 12, 1), (7, 7, 2)])
 def test_the_dense_route_holds_one_state_and_one_slice(q, n, seed):
-    # past the slicing size, a reduction holds one 1/q slice and its conjugate,
+    # past the slicing size, a reduction holds one 1/q slice's bytes as floats,
     # and graph_state one byte of exponent per amplitude; copies of the state
     # would each add one more state. Qudit 2 is isolated, so the prefix {1, 2}
     # fails, k = 0 and every rho_S stays small
@@ -738,6 +755,23 @@ def test_the_dense_route_holds_one_state_and_one_slice(q, n, seed):
     assert k == uniformity_index(adj) == 0
     assert built - size < size / 8
     assert checked - size < (2 / q + 0.1) * size
+
+
+@pytest.mark.parametrize("q, n, seed", [(3, 12, 3), (7, 7, 4)])
+def test_a_sliced_reduction_holds_one_slice(q, n, seed):
+    # [A | B] holds one 1/q slice's bytes; a slice and its conjugate would hold 2/q.
+    # {2, 5} is no prefix, so each slice is gathered from a transposed view
+    assert 2 * q**n > dense.RANK_CHUNK
+    state = graph_state(Adjacency(MatrixGF(PrimeField(q), _random_gamma(q, n, 0.5, seed))))
+    size = state.amplitudes.nbytes
+    tracemalloc.start()
+    try:
+        rho = reduced_density(state, [2, 5])
+        held = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(rho - _partial_trace(state, [2, 5]))) < 1e-12
+    assert held < (1 / q + 0.05) * size
 
 
 # ---------------------------------------------------------------------------
