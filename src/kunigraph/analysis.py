@@ -30,18 +30,11 @@ def _register(states) -> int:
 def _rank_table(states, subsets) -> dict[tuple[int, ...], tuple[int, ...]]:
     """rank(rho_S) of every state, for each subset S in the order given.
 
-    rho_S and rho_{S^c} of a pure state share their nonzero spectrum, so a
-    subset whose complement comes earlier takes its ranks. The others are
-    ranked together, one reduction_ranks call per state.
+    One reduction_ranks call per state, which ranks a complementary pair once.
     """
-    qudits = set(range(1, _register(states) + 1))
-    source = {}  # each subset, and the subset whose ranks it takes
-    for subset in subsets:
-        complement = tuple(sorted(qudits.difference(subset)))
-        source.setdefault(subset, source.get(complement, subset))
-    fresh = [subset for subset, src in source.items() if src == subset]
-    ranked = dict(zip(fresh, zip(*(reduction_ranks(state, fresh) for state in states))))
-    return {subset: ranked[src] for subset, src in source.items()}
+    _register(states)
+    subsets = list(subsets)
+    return dict(zip(subsets, zip(*(reduction_ranks(state, subsets) for state in states))))
 
 
 def _half_subsets(n: int):

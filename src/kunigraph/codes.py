@@ -110,7 +110,7 @@ def _information_sets(code: LinearCode):
     used = np.arange(n) < k
     while free := n - int(np.count_nonzero(used)):
         order = np.argsort(used, kind="stable")
-        reduced = row_reduce(gen[:, order][None], code.field)[0][0]
+        reduced, _ = row_reduce(gen[:, order], code.field)
         pivots = np.argmax(reduced != 0, axis=1)  # ascending; G has rank k
         rank = int(np.count_nonzero(pivots < free))
         if not rank:

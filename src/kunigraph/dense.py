@@ -539,8 +539,9 @@ def reduction_ranks(state: StateVector, subsets) -> list[int]:
     * a block B has the nonzero spectrum of its Gram on its smaller side,
       B B^H or B^H B; a block of one row or column has the 1 x 1 Gram of
       its squared norm. rho_S and rho_{S^c} share their nonzero spectrum
-      too, so the smaller of S and S^c gives the rows, which are labelled
-      through dense arrays of q^{min(|S|, n - |S|)} entries.
+      too, so the smaller of S and S^c gives the rows, the one that holds
+      qudit 1 at |S| = n/2; the rows are labelled through dense arrays of
+      q^{min(|S|, n - |S|)} entries, and each distinct side is ranked once.
 
     Each Gram is ranked as rank_of_reduction always did: one batched SVD
     per block shape, counting singular values above RANK_TOL times the
@@ -554,10 +555,14 @@ def reduction_ranks(state: StateVector, subsets) -> list[int]:
     row labels and its blocks' Grams, however large q^n is.
     """
     n, q = state.n, state.q
-    sides = []
+    slots = {}  # each distinct side, and its place among them
+    picks = []
     for subset in subsets:
         axes = _subset_axes(state, subset)
-        sides.append(axes if 2 * len(axes) <= n else sorted(set(range(n)).difference(axes)))
+        rest = sorted(set(range(n)).difference(axes))
+        side = tuple(min(axes, rest, key=lambda cut: (len(cut), cut)))
+        picks.append(slots.setdefault(side, len(slots)))
+    sides = list(slots)
     support = np.flatnonzero(state.amplitudes)
     values = state.amplitudes[support]
     s, half = len(support), q ** (n // 2)
@@ -565,7 +570,7 @@ def reduction_ranks(state: StateVector, subsets) -> list[int]:
     ranks = []
     for lo in range(0, len(sides), per_pass):
         ranks += _ranks_in_one_pass(support, values, q, n, sides[lo:lo + per_pass])
-    return ranks
+    return [ranks[pick] for pick in picks]
 
 
 def _ranks_in_one_pass(support, values, q: int, n: int, sides) -> list[int]:

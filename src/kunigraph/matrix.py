@@ -26,8 +26,8 @@ def _inverses(values: np.ndarray, p: int) -> np.ndarray:
 
     x^(p - 2) by square-and-multiply on the whole array at once, reading
     the exponent's bits from the top; as p <= MAX_MODULUS = 2^20, a square
-    times x stays below p^3 < 2^63, so int64 holds it exactly. The
-    eliminations call this on their pivots alone, so no table of all p
+    times x stays below p^3 < 2^63, so int64 holds it exactly. The MDS test
+    calls this on each batch of Schur pivots alone, so no table of all p
     inverses is formed.
     """
     inverse = values
@@ -157,46 +157,33 @@ class MatrixGF:
         return True
 
 
-def row_reduce(stack: np.ndarray, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form of every matrix in a (B, r, c) stack, and their ranks.
+def row_reduce(matrix: np.ndarray, field: PrimeField) -> tuple[np.ndarray, int]:
+    """Reduced row echelon form of one int64 matrix of canonical representatives, and its rank.
 
-    stack holds int64 canonical representatives and is reduced in place;
-    the caller gives it up. The B matrices are reduced in lockstep, one
-    column at a time: each matrix that has a nonzero entry at or below its
-    next pivot row takes the first such row as its pivot and clears the
-    column in every other row without division, each row becoming
-    lead * row - entry * pivot row, so each row carries a nonzero factor
-    until the end, when it is divided by its leading entry: one batch of
-    inverses per call, of the pivots alone, so nothing of size p is formed.
-    Returns (stack, ranks).
+    Gauss-Jordan on a copy, one column at a time: the first nonzero entry
+    at or below the next pivot row is the pivot, its row is scaled by the
+    pivot's inverse, pow(pivot, -1, p), and moved up, and one rank-1 update
+    mod p clears the column in every other row. So only pivots are
+    inverted and nothing of size p is formed. The input is left unchanged.
     """
     p = field.p
-    count, rows, cols = stack.shape
-    ranks = np.zeros(count, dtype=np.int64)
-    row_index = np.arange(rows)
+    reduced = matrix.astype(np.int64)
+    rows, cols = reduced.shape
+    rank = 0
     for col in range(cols):
-        candidates = (stack[:, :, col] != 0) & (row_index >= ranks[:, None])
-        pivoting = np.nonzero(candidates.any(axis=1))[0]
-        if pivoting.size == 0:
-            continue
-        lanes = np.arange(pivoting.size)
-        target = ranks[pivoting]
-        source = candidates[pivoting].argmax(axis=1)
-        # the pivot row is zero before col, so the rows' earlier entries only scale
-        pivot = stack[pivoting, source]
-        stack[pivoting, source] = stack[pivoting, target]
-        factors = stack[pivoting, :, col]
-        factors[lanes, target] = 0
-        block = stack[pivoting] * pivot[:, None, col:col + 1] - factors[:, :, None] * pivot[:, None, :]
-        block[lanes, target] = pivot
-        stack[pivoting] = block % p
-        ranks[pivoting] += 1
-        if ranks.min() == rows:  # every row holds a pivot: the later columns are done
+        if rank == rows:  # every row holds a pivot: the later columns are done
             break
-    lead = stack[np.arange(count)[:, None], row_index, np.argmax(stack != 0, axis=2)]
-    stack *= _inverses(np.maximum(lead, 1), p)[:, :, None]  # 1 for the zero rows past each rank
-    stack %= p
-    return stack, ranks
+        below = np.flatnonzero(reduced[rank:, col])
+        if not below.size:
+            continue
+        source = rank + int(below[0])
+        pivot_row = reduced[source] * pow(int(reduced[source, col]), -1, p) % p
+        reduced[source] = reduced[rank]
+        reduced -= reduced[:, col:col + 1] * pivot_row
+        reduced %= p
+        reduced[rank] = pivot_row
+        rank += 1
+    return reduced, rank
 
 
 def json_field_and_grid(payload, grid_key: str, *count_keys: str) -> tuple[PrimeField, np.ndarray]:

@@ -4,13 +4,14 @@ The sweep (stabilizer) and the dense oracle are both exact, so they must
 give the same k on every graph. The structural route reads d⊥ - 1 off the
 outer code: that is k itself for one level with a zero B block, and a
 lower bound once a hierarchy level or a B block fills the lower-right
-corner. Every register here has q^n <= 2e4 amplitudes: at 2^16 the dense
+corner. On the code state of any [I | A], MDS or not, all three give
+min(d, d⊥) - 1. Every register here has q^n <= 2e4 amplitudes: at 2^16 the dense
 oracle alone takes seconds per random graph.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from kunigraph.codes import dual_code, mds_code, min_distance
+from kunigraph.codes import LinearCode, dual_code, mds_code, min_distance
 from kunigraph.dense import graph_state, uniformity_by_oracle
 from kunigraph.field import PrimeField
 from kunigraph.graph import (
@@ -77,6 +78,16 @@ def hierarchy_specs(draw) -> HierarchySpec:
     return HierarchySpec(field, tuple(levels))
 
 
+@st.composite
+def random_codes(draw) -> LinearCode:
+    """[I | A] with A drawn at random, MDS or not, with 1 <= k < n and q^n <= 2e4."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(2, largest_n(p)))
+    k = draw(st.integers(1, n - 1))
+    row = st.lists(st.integers(0, p - 1), min_size=n - k, max_size=n - k)
+    return LinearCode(MatrixGF(PrimeField(p), draw(st.lists(row, min_size=k, max_size=k))))
+
+
 def sweep_and_dense(adj: Adjacency) -> tuple[int, int]:
     return uniformity_index(adj), uniformity_by_oracle(graph_state(adj))
 
@@ -116,3 +127,13 @@ def test_all_three_routes_are_equal_on_one_zero_b_level(level):
     code = mds_code(field, n, k)
     k_sweep, k_dense = sweep_and_dense(bipartite_adjacency(code))
     assert structural_bound(code) == k_sweep == k_dense == k
+
+
+@settings(max_examples=150)
+@given(random_codes())
+def test_all_three_routes_are_equal_on_random_codes(code):
+    # the code state's stabilizer is X(C) Z(C⊥), whose least nonzero weight is
+    # min(d, d⊥); the local Fourier gates to the graph form keep weights
+    k_sweep, k_dense = sweep_and_dense(bipartite_adjacency(code))
+    d, d_dual = min_distance(code), min_distance(dual_code(code))
+    assert k_sweep == k_dense == min(d, d_dual) - 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kunigraph import analysis
+from kunigraph import dense
 from kunigraph.analysis import (
     ame_support_check,
     rank_spectrum,
@@ -23,15 +23,15 @@ from kunigraph.matrix import MatrixGF
 
 
 def count_reductions(monkeypatch):
-    """Sizes of the subsets the rank table reduces from now on, state by state."""
+    """Sizes of the sides the rank table reduces from now on, state by state."""
     sizes = []
-    rank = analysis.reduction_ranks
+    rank = dense._ranks_in_one_pass
 
-    def counted(state, subsets):
-        sizes.extend(map(len, subsets))
-        return rank(state, subsets)
+    def counted(support, values, q, n, sides):
+        sizes.extend(map(len, sides))
+        return rank(support, values, q, n, sides)
 
-    monkeypatch.setattr(analysis, "reduction_ranks", counted)
+    monkeypatch.setattr(dense, "_ranks_in_one_pass", counted)
     return sizes
 
 

@@ -350,16 +350,16 @@ def test_slocc_runs_the_dense_oracle_once_per_state(capsys, monkeypatch):
 
 def test_slocc_ranks_each_complementary_pair_once(capsys, monkeypatch):
     # the 12 split subsets of 6 qudits form 6 complementary pairs per state
-    from kunigraph import analysis
+    from kunigraph import dense
 
     calls = []
-    rank = analysis.reduction_ranks
+    rank = dense._ranks_in_one_pass
 
-    def counted(state, subsets):
-        calls.extend(subsets)
-        return rank(state, subsets)
+    def counted(support, values, q, n, sides):
+        calls.extend(sides)
+        return rank(support, values, q, n, sides)
 
-    monkeypatch.setattr(analysis, "reduction_ranks", counted)
+    monkeypatch.setattr(dense, "_ranks_in_one_pass", counted)
     status, doc = run_json(capsys, "slocc", "--p", "5", "--pair", "6:2", "6:2+2:1")
     assert status == 0
     assert len(calls) == 12

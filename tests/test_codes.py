@@ -224,7 +224,7 @@ def test_information_sets_are_greedy_disjoint_and_systematic():
         assert np.array_equal(gen[:, cols], np.eye(code.k, dtype=np.int64))
         # the same code: each generator is its own first k columns times [I | A]
         assert np.array_equal(gen[:, : code.k] @ code.generator.entries % 5, gen)
-        assert row_reduce(gen[None].copy(), code.field)[1][0] == code.k
+        assert row_reduce(gen, code.field)[1] == code.k
 
 
 def test_partial_sets_are_disjoint_and_systematic():

@@ -882,6 +882,23 @@ def test_ranks_by_blocks_on_random_and_whole_registers():
     assert rank_of_reduction(ghz, [1, 2, 3, 4]) == 1 == _rank_by_svd(ghz, [1, 2, 3, 4])
 
 
+def test_a_cut_is_ranked_once_on_the_side_that_holds_qudit_1(monkeypatch):
+    # S = {2, 4, 6} and S^c = {1, 3, 5} split 6 qudits in half: all three
+    # reductions take their rank from one pass over the side {1, 3, 5}
+    state = _slocc_states(5, "6:2+2:1")
+    passed = []
+    rank = dense._ranks_in_one_pass
+
+    def counted(support, values, q, n, sides):
+        passed.append(sides)
+        return rank(support, values, q, n, sides)
+
+    monkeypatch.setattr(dense, "_ranks_in_one_pass", counted)
+    ranks = reduction_ranks(state, [(2, 4, 6), (1, 3, 5), (6, 4, 2)])
+    assert passed == [[(0, 2, 4)]]
+    assert ranks == [_rank_by_svd(state, (1, 3, 5))] * 3
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 600])
 def test_ranks_do_not_depend_on_how_many_entries_a_pass_holds(monkeypatch, chunk):
     state = _slocc_states(5, "6:2+2:1")

@@ -71,7 +71,7 @@ def test_every_nonzero_element_has_inverse(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_results_stay_canonical(p):
-    # any shape, as row_reduce passes a (B, rows) grid of leading entries
+    # any shape: the power works entry by entry, on the MDS test's flat batches of pivots too
     a = np.arange(1, p).reshape(-1, 1)
     inverse = _inverses(a, p)
     assert inverse.shape == a.shape and inverse.dtype == np.int64

@@ -50,8 +50,8 @@ def brute_minors_all_nonsingular(entries, p):
 # ---------------------------------------------------------------------------
 
 def rank(m: MatrixGF) -> int:
-    """Rank over GF(p): row_reduce of a one-matrix stack, on a copy of the entries."""
-    return int(row_reduce(np.array(m.entries)[None], m.field)[1][0])
+    """Rank over GF(p) by row_reduce, which leaves the read-only entries as they are."""
+    return row_reduce(m.entries, m.field)[1]
 
 
 def test_rank_identity(f5):
@@ -82,7 +82,7 @@ def test_rank_equals_rank_of_transpose():
 
 
 # ---------------------------------------------------------------------------
-# the batched row reduction
+# the row reduction
 # ---------------------------------------------------------------------------
 
 def brute_rank(entries, p):
@@ -98,63 +98,51 @@ def brute_rank(entries, p):
 
 
 @st.composite
-def stacks_with_dependent_rows(draw):
-    """(p, stack): up to 4 matrices of at most 5 x 5, some rows combinations of others."""
+def matrices_with_dependent_rows(draw):
+    """(p, matrix): at most 5 x 5, some rows combinations of others."""
     p = draw(st.sampled_from([2, 3, 5, 7, 11]))
-    count = draw(st.integers(1, 4))
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     entry = st.integers(0, p - 1)
-    stack = np.array(
-        draw(st.lists(st.lists(st.lists(entry, min_size=cols, max_size=cols),
-                               min_size=rows, max_size=rows),
-                      min_size=count, max_size=count)),
+    matrix = np.array(
+        draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)),
         dtype=np.int64,
     )
-    for b in range(count):
-        for r in range(1, rows):
-            if draw(st.booleans()):
-                coeffs = np.array(draw(st.lists(entry, min_size=r, max_size=r)))
-                stack[b, r] = (coeffs @ stack[b, :r]) % p
-    return p, stack
+    for r in range(1, rows):
+        if draw(st.booleans()):
+            coeffs = np.array(draw(st.lists(entry, min_size=r, max_size=r)))
+            matrix[r] = (coeffs @ matrix[:r]) % p
+    return p, matrix
 
 
-@given(stacks_with_dependent_rows())
+@given(matrices_with_dependent_rows())
 def test_row_reduce_ranks_match_brute_force(case):
-    p, stack = case
-    expected = [brute_rank(m.tolist(), p) for m in stack]
-    reduced, ranks = row_reduce(stack.copy(), PrimeField(p))
-    assert ranks.tolist() == expected
-    for m, rank in zip(reduced, ranks):
-        assert not m[rank:].any()
-        for i in range(rank):
-            lead = int(np.flatnonzero(m[i])[0])
-            assert m[i, lead] == 1
-            assert np.count_nonzero(m[:, lead]) == 1
+    p, m = case
+    given_entries = m.copy()
+    reduced, rank = row_reduce(m, PrimeField(p))
+    assert rank == brute_rank(m.tolist(), p)
+    assert np.array_equal(m, given_entries)
+    assert not reduced[rank:].any()
+    for i in range(rank):
+        lead = int(np.flatnonzero(reduced[i])[0])
+        assert reduced[i, lead] == 1
+        assert np.count_nonzero(reduced[:, lead]) == 1
 
 
 def test_eliminations_invert_only_nonzero_pivots(monkeypatch):
-    # row_reduce divides once, at the end; the MDS test once per batch of minors
-    seen = []
+    # row_reduce inverts each pivot alone, by pow; the MDS test a batch of
+    # Schur pivots per batch of minors
+    scalars, seen = [], []
     inverses = matrix._inverses
     monkeypatch.setattr(matrix, "_inverses", lambda values, p: seen.append(values) or inverses(values, p))
+    monkeypatch.setattr(matrix, "pow", lambda x, e, p: scalars.append(x) or pow(x, e, p), raising=False)
     f = PrimeField(13)
-    stack = np.random.default_rng(7).integers(0, 13, size=(6, 4, 7))
-    stack[:, 3] = (2 * stack[:, 0] + stack[:, 1]) % 13
-    stack[0] = 0
-    row_reduce(stack, f)
-    assert len(seen) == 1 and seen[0].shape == (6, 4)
+    m = np.random.default_rng(7).integers(0, 13, size=(4, 7))
+    m[3] = (2 * m[0] + m[1]) % 13
+    assert row_reduce(m, f)[1] == 3
+    assert row_reduce(np.zeros((4, 7), dtype=np.int64), f)[1] == 0
+    assert len(scalars) == 3 and all(scalars) and not seen
     assert MatrixGF(f, mds_a_matrix(f, 5, 6).entries).all_square_submatrices_nonsingular()
     assert len(seen) > 1 and all(values.all() for values in seen)
-
-
-def test_rank_of_a_matrix_is_its_row_reduce_rank():
-    # the stack reduced in lockstep gives each matrix's rank reduced alone
-    rng = np.random.default_rng(5)
-    f = PrimeField(7)
-    stack = rng.integers(0, 7, size=(30, 3, 4))
-    stack[:10, 2] = (stack[:10, 0] + 3 * stack[:10, 1]) % 7
-    ranks = row_reduce(stack.copy(), f)[1]
-    assert ranks.tolist() == [rank(MatrixGF(f, m)) for m in stack]
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +177,12 @@ def mds_block_variant(f, rows, cols, rng):
         c = np.sort(rng.choice(cols, t, replace=False))
         i, j = rng.integers(t, size=2)
         # the one value of entry (i, j) that makes the minor on r, c singular
-        variants = np.repeat(entries[np.ix_(r, c)][None], f.p, axis=0)
-        variants[:, i, j] = np.arange(f.p)
-        entries[r[i], c[j]] = np.flatnonzero(row_reduce(variants, f)[1] < t)[0]
+        minor = entries[np.ix_(r, c)]
+        for value in range(f.p):
+            minor[i, j] = value
+            if row_reduce(minor, f)[1] < t:
+                break
+        entries[r[i], c[j]] = value
     return entries
 
 
@@ -238,10 +229,13 @@ def test_gf17_16_8_block_spans_several_chunks(monkeypatch):
         for first in (0, 8 - t):
             span = slice(first, first + t)
             # the one value of the minor's last entry that makes it singular
-            variants = np.repeat(a.entries[None, span, span], 17, axis=0)
-            variants[:, -1, -1] = np.arange(17)
-            singular = np.flatnonzero(row_reduce(variants, f17)[1] < t)
-            assert singular.size == 1
+            minor = np.array(a.entries[span, span])
+            singular = []
+            for value in range(17):
+                minor[-1, -1] = value
+                if row_reduce(minor, f17)[1] < t:
+                    singular.append(value)
+            assert len(singular) == 1
             ent = np.array(a.entries)
             ent[first + t - 1, first + t - 1] = singular[0]
             assert not MatrixGF(f17, ent).all_square_submatrices_nonsingular(), (t, first)

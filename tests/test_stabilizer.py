@@ -79,7 +79,7 @@ def test_identity_detection(f5, bell_adj):
 
 
 def test_generator_tableau_has_full_rank(f5, adj62):
-    assert row_reduce(graph_generators(adj62)[None], f5)[1][0] == 6
+    assert row_reduce(graph_generators(adj62), f5)[1] == 6
 
 
 # ---------------------------------------------------------------------------
