@@ -149,7 +149,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     if args.random_b:
         if len(spec.levels) != 1:
             raise ValueError("--random-b applies to single-level builds only")
-        # each trial sweeps q^n vectors, so the N trials share one sweep guard
+        # the sweep guard caps each trial's q^n space, so the N trials share one guard
         guard = f"sweep guard {SWEEP_GUARD} / {args.random_b} trials ="
         guarded_power(spec.field.p, spec.levels[0][0], SWEEP_GUARD // args.random_b, guard)
     codes = level_codes(spec, gamma=args.gamma)

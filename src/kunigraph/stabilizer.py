@@ -10,6 +10,12 @@ below |supp(w)|; for a state that is exactly k-uniform that is level
 k + 1. The witness is the lexicographically first minimizer over
 all q^n - 1 vectors: every minimizer has support at most the minimum, so
 it lies in a level the sweep walked.
+
+For c != 0, c w has the support of w and Gamma (c w) = c Gamma w, so the
+q - 1 multiples of w share one weight, and the one whose leading nonzero
+entry is 1 has the smallest base-q index. The sweep visits only those,
+Sum_t C(n, t) (q - 1)^(t - 1) vectors over the levels t = 1..k + 1 it
+walks, and still returns the same witness.
 """
 
 from __future__ import annotations
@@ -50,9 +56,12 @@ def minimum_support(adj: Adjacency) -> tuple[int, np.ndarray]:
     The sweep enumerates w by support size t = 1, 2, ... and stops after
     the first level t at which the best weight is at most t. Every w that
     attains the minimum has support at most the minimum, so all of them
-    have been enumerated by then. The witness is the lexicographically
-    first of them (base-q index order), the same w an enumeration of all
-    q^n - 1 vectors returns, so reruns agree exactly.
+    have been enumerated by then. Within a level only vectors with
+    leading nonzero entry 1 are visited, C(n, t) (q - 1)^(t - 1) of them:
+    the other q - 2 multiples c w of each share its weight and have larger
+    indices. The witness is the lexicographically first minimizer (base-q
+    index order), the same w an enumeration of all q^n - 1 vectors
+    returns, so reruns agree exactly; its leading nonzero entry is 1.
     """
     q = adj.field.p
     guarded_power(q, adj.n, SWEEP_GUARD, "sweep guard")

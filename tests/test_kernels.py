@@ -28,6 +28,13 @@ def _full_sweep(gamma, q, chunk=1 << 14):
     return best, best_idx
 
 
+def _leading_digit(index, q):
+    """The most significant nonzero base-q digit of a positive index."""
+    while index >= q:
+        index //= q
+    return index
+
+
 def _random_gamma(rng, p, n):
     upper = np.triu(rng.integers(0, p, size=(n, n)), k=1)
     return upper + upper.T
@@ -74,8 +81,8 @@ def test_a_tie_at_a_later_level_can_hold_the_witness():
 
 @st.composite
 def symmetric_gammas(draw):
-    p = draw(st.sampled_from((2, 3, 5, 7)))
-    n_max = {2: 15, 3: 9, 5: 6, 7: 5}[p]  # q^n <= 4 * 10^4
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    n_max = {2: 15, 3: 9, 5: 6, 7: 5, 11: 4, 13: 4}[p]  # q^n <= 4 * 10^4
     n = draw(st.integers(1, n_max))
     pairs = n * (n - 1) // 2
     entries = draw(st.lists(st.integers(0, p - 1), min_size=pairs, max_size=pairs))
@@ -88,7 +95,9 @@ def symmetric_gammas(draw):
 @given(symmetric_gammas())
 def test_level_sweep_matches_the_full_sweep(case):
     gamma, q = case
-    assert _kernels.min_support_sweep(gamma, q) == _full_sweep(gamma, q)
+    weight, index = _kernels.min_support_sweep(gamma, q)
+    assert (weight, index) == _full_sweep(gamma, q)
+    assert _leading_digit(index, q) == 1
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
@@ -97,9 +106,14 @@ def test_level_sweep_matches_the_full_sweep_at_any_chunk(monkeypatch, chunk):
     rng = np.random.default_rng(4)
     cases = [(np.zeros((1, 1), dtype=np.int64), q) for q in (2, 3, 7)]
     cases += [(gamma, q) for gamma, q in corpus()]
-    cases += [(_random_gamma(rng, p, n), p) for p, n in ((2, 9), (3, 6), (7, 5), (13, 3))]
+    cases += [
+        (_random_gamma(rng, p, n), p)
+        for p, n in ((2, 9), (3, 6), (7, 5), (13, 3), (11, 4), (13, 4))
+    ]
     for gamma, q in cases:
-        assert _kernels.min_support_sweep(gamma, q) == _full_sweep(gamma, q)
+        weight, index = _kernels.min_support_sweep(gamma, q)
+        assert (weight, index) == _full_sweep(gamma, q)
+        assert _leading_digit(index, q) == 1
 
 
 @pytest.mark.parametrize("n", [14, 16])

@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kunigraph.codes import LinearCode, mds_code
 from kunigraph.dense import uniformity_by_oracle, graph_state
@@ -120,6 +121,29 @@ def test_support_weight_refuses_exponents_that_are_not_integers(f5):
             support_weight(w, adj)
     for w in ([0, 0, 0, 1, 0, 4], range(6), (0, 0, 0, 1, 0, 4), np.arange(6, dtype=np.uint8)):
         assert support_weight(w, adj) == support_weight(list(w), adj)
+
+
+@st.composite
+def graphs_and_exponents(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    n = draw(st.integers(1, 8))
+    pairs = n * (n - 1) // 2
+    upper = np.zeros((n, n), dtype=np.int64)
+    entries = st.lists(st.integers(0, p - 1), min_size=pairs, max_size=pairs)
+    upper[np.triu_indices(n, k=1)] = draw(entries)
+    w = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    return Adjacency(MatrixGF(PrimeField(p), upper + upper.T)), w
+
+
+@given(graphs_and_exponents())
+def test_every_nonzero_multiple_has_the_same_support_weight(case):
+    # Gamma (c w) = c Gamma w and c is invertible, so c w and w vanish on the
+    # same qudits; the sweep visits one vector per class {c w : c != 0}
+    adj, w = case
+    q = adj.field.p
+    weight = support_weight(w, adj)
+    for c in range(1, q):
+        assert support_weight([c * x % q for x in w], adj) == weight
 
 
 # ---------------------------------------------------------------------------
