@@ -690,12 +690,20 @@ def support_count(state: StateVector) -> int:
 
 
 def eigencheck(state: StateVector, x_exp, z_exp) -> bool:
-    """True iff prod_i X_i^{x[i]} Z_i^{z[i]} fixes the state within NORM_TOL."""
+    """True iff prod_i X_i^{x[i]} Z_i^{z[i]} fixes the state within NORM_TOL.
+
+    x_exp and z_exp must each hold exactly n integers; any other shape is
+    refused with ValueError, never padded or cut.
+    """
+    x, z = integer_array(x_exp, "x exponents"), integer_array(z_exp, "z exponents")
+    for what, e in (("x", x), ("z", z)):
+        if e.shape != (state.n,):
+            raise ValueError(f"{what} exponents must have shape ({state.n},), got {e.shape}")
     out = state
-    for i, e in enumerate(integer_array(z_exp, "z exponents")):
+    for i, e in enumerate(z):
         if e % state.q:
             out = apply_z(out, i + 1, int(e))
-    for i, e in enumerate(integer_array(x_exp, "x exponents")):
+    for i, e in enumerate(x):
         if e % state.q:
             out = apply_x(out, i + 1, int(e))
     return bool(np.max(np.abs(out.amplitudes - state.amplitudes)) <= NORM_TOL)

@@ -4,18 +4,10 @@ A product of graph-state generators S_1^{w_1} ... S_n^{w_n} has X-exponent
 vector w and Z-exponent vector Gamma w, so qudit i carries the identity
 iff w_i = 0 and (Gamma w)_i = 0. The minimum support weight over nonzero
 w gives the exact uniformity index without touching any q^n-dimensional
-vector. The sweep walks w in order of |supp(w)| and stops at the first
-level t with a weight at most t found, since the weight of w is never
-below |supp(w)|; for a state that is exactly k-uniform that is level
-k + 1. The witness is the lexicographically first minimizer over
-all q^n - 1 vectors: every minimizer has support at most the minimum, so
-it lies in a level the sweep walked.
-
-For c != 0, c w has the support of w and Gamma (c w) = c Gamma w, so the
-q - 1 multiples of w share one weight, and the one whose leading nonzero
-entry is 1 has the smallest base-q index. The sweep visits only those,
-Sum_t C(n, t) (q - 1)^(t - 1) vectors over the levels t = 1..k + 1 it
-walks, and still returns the same witness.
+vector. `_kernels.min_support_sweep` finds it: its docstring gives the
+support order, the one vector per scalar class it visits and why its
+witness, the first minimizer in base-q index order, is the one an
+enumeration of all q^n - 1 vectors returns.
 """
 
 from __future__ import annotations
@@ -53,15 +45,10 @@ def support_weight(w, adj: Adjacency) -> int:
 def minimum_support(adj: Adjacency) -> tuple[int, np.ndarray]:
     """Minimum support weight over all nonzero w, with a witness vector.
 
-    The sweep enumerates w by support size t = 1, 2, ... and stops after
-    the first level t at which the best weight is at most t. Every w that
-    attains the minimum has support at most the minimum, so all of them
-    have been enumerated by then. Within a level only vectors with
-    leading nonzero entry 1 are visited, C(n, t) (q - 1)^(t - 1) of them:
-    the other q - 2 multiples c w of each share its weight and have larger
-    indices. The witness is the lexicographically first minimizer (base-q
-    index order), the same w an enumeration of all q^n - 1 vectors
-    returns, so reruns agree exactly; its leading nonzero entry is 1.
+    The witness is the lexicographically first minimizer over all q^n - 1
+    vectors (base-q index order), so reruns agree exactly, and its leading
+    nonzero entry is 1; `_kernels` says how the sweep finds it. Raises
+    ResourceLimitError when q^n exceeds SWEEP_GUARD.
     """
     q = adj.field.p
     guarded_power(q, adj.n, SWEEP_GUARD, "sweep guard")

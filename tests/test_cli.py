@@ -461,6 +461,22 @@ def test_build_at_a_large_prime_cuts_only_its_rectangle(capsys):
     assert doc["result"]["code"]["A"][0] == [1, 1]
 
 
+def test_sweep_at_the_largest_prime_the_guard_admits_for_two_qudits(capsys):
+    # 8191^2 <= 2^26 < 8209^2: level 2 holds one support of 8,190 value patterns,
+    # the most any support can hold under the sweep guard
+    status, doc = run_json(
+        capsys, "verify", "--p", "8191", "--n", "2", "--k", "1", "--method", "stabilizer"
+    )
+    assert status == 0
+    assert doc["result"]["k_stabilizer"] == 1
+    assert doc["result"]["witness_w_for_k_plus_1"] == [0, 1]
+    status, out = run_cli(
+        capsys, "verify", "--p", "8209", "--n", "2", "--k", "1", "--method", "stabilizer"
+    )
+    assert status == 3
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -314,6 +314,25 @@ def test_62_hierarchy_graph_eigenchecks(adj62):
         assert eigencheck(g, row[: adj62.n], row[adj62.n :])
 
 
+def test_eigencheck_refuses_exponent_vectors_that_are_not_length_n(adj60):
+    # the [6, 2] generators pass; the same rows padded with a 0 mod 5, cut short,
+    # emptied or stacked are refused rather than padded, truncated or read as the identity
+    g = graph_state(adj60)
+    rows = graph_generators(adj60)
+    x, z = rows[0, :6], rows[0, 6:]
+    assert eigencheck(g, x, z)
+    for bad_x, bad_z in (
+        ([], []),
+        (np.append(x, 5), z),
+        (x, np.append(z, 0)),
+        (x[:5], z),
+        (x, z[:5]),
+        (rows[:, :6], rows[:, 6:]),
+    ):
+        with pytest.raises(ValueError, match="exponents must have shape \\(6,\\)"):
+            eigencheck(g, bad_x, bad_z)
+
+
 def test_generator_products_match_sweep_weights():
     # S_1^{w_1} ... S_n^{w_n} is X^w Z^{Gamma w} up to a phase; apply it
     # gate by gate and compare its weight with the sweep's support weight

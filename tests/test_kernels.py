@@ -4,8 +4,9 @@ from hypothesis import given, strategies as st
 
 from kunigraph import _kernels
 from kunigraph.codes import mds_code
-from kunigraph.field import PrimeField
+from kunigraph.field import MAX_MODULUS, PrimeField
 from kunigraph.graph import HierarchySpec, bipartite_adjacency, hierarchy_adjacency
+from kunigraph.stabilizer import SWEEP_GUARD
 
 
 def _full_sweep(gamma, q, chunk=1 << 14):
@@ -122,3 +123,26 @@ def test_level_sweep_matches_the_full_sweep_on_large_qubit_graphs(n):
     for _ in range(3):
         gamma = _random_gamma(rng, 2, n)
         assert _kernels.min_support_sweep(gamma, 2) == _full_sweep(gamma, 2)
+
+
+def test_one_support_fits_in_a_batch_under_the_sweep_guard():
+    # A pure state of n qudits is at most floor(n/2)-uniform, so the sweep stops by
+    # level floor(n/2) + 1, whose supports hold (q-1)^floor(n/2) value patterns each.
+    # Over every prime the field accepts and every n with q^n <= SWEEP_GUARD, that
+    # count stays within SWEEP_CHUNK, so a batch of whole supports never splits one.
+    # A guard change that breaks this (ROADMAP item 3, a cap on vectors visited
+    # instead of on q^n) must also bound the patterns per support.
+    sieve = np.ones(MAX_MODULUS + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, int(MAX_MODULUS**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    most, where = 0, None
+    for q in np.flatnonzero(sieve).tolist():
+        n = 1
+        while q**n <= SWEEP_GUARD:
+            if (q - 1) ** (n // 2) > most:
+                most, where = (q - 1) ** (n // 2), (q, n)
+            n += 1
+    assert (most, where) == (8190, (8191, 2))
+    assert most <= _kernels.SWEEP_CHUNK
