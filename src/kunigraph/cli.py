@@ -77,6 +77,8 @@ def _dumps(doc) -> str:
 def _resolve_spec(args) -> HierarchySpec:
     field = PrimeField(args.p)
     if args.levels:
+        if args.n is not None or args.k is not None:
+            raise ValueError("give either --levels or --n and --k, not both")
         return HierarchySpec.parse(field, args.levels)
     if args.n is None or args.k is None:
         raise ValueError("either --levels or both --n and --k are required")
@@ -128,19 +130,18 @@ def cmd_build(args) -> tuple[dict, int]:
         "adjacency": adj.to_json(),
         "edge_count": adj.edge_count(),
     }
-    written = []
     if args.out:
-        out = Path(args.out)
-        _write(out / "code.json", _dumps(code.to_json()))
-        _write(out / "adjacency.json", _dumps(adj.to_json()))
-        _write(out / "graph.dot", export_dot(adj))
-        written = ["code.json", "adjacency.json", "graph.dot"]
-        if args.with_state:
-            state, form = _state_for(codes if args.b_mode == "zero" else (), adj)
-            _write(out / "state.json", state.json_text(args.sparse_state))
-            written.append("state.json")
-            result["state_form"] = form
-        result["written"] = written
+        files = {
+            "code.json": _dumps(code.to_json()),
+            "adjacency.json": _dumps(adj.to_json()),
+            "graph.dot": export_dot(adj),
+        }
+        if args.with_state:  # the state guard refuses before any file is written
+            state, result["state_form"] = _state_for(codes if args.b_mode == "zero" else (), adj)
+            files["state.json"] = state.json_text(args.sparse_state)
+        for name, text in files.items():
+            _write(Path(args.out) / name, text)
+        result["written"] = list(files)
     return result, EXIT_OK
 
 
@@ -159,9 +160,11 @@ def cmd_verify(args) -> tuple[dict, int]:
     result: dict = {"n": adj.n, "p": spec.field.p}
     ks = {}
     if "structural" in methods:
-        mds_ok = code.a_matrix.all_square_submatrices_nonsingular()
+        # [I | A] is MDS iff d reaches the Singleton bound n - k + 1
+        d = min_distance(code)
+        mds_ok = d == code.n - code.k + 1
         result["structural_mds_ok"] = mds_ok
-        result["structural_min_distance"] = min_distance(code)
+        result["structural_min_distance"] = d
         dual_d = min_distance(dual_code(code))
         result["structural_dual_min_distance"] = dual_d
         ks["k_structural"] = dual_d - 1 if mds_ok else None

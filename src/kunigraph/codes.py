@@ -1,11 +1,12 @@
 """Classical linear codes [n, k]_q in standard form G = [I_k | A].
 
 Covers codeword enumeration, exact minimum distance by information-set
-enumeration, dual codes, and construction of A matrices with all square
-submatrices nonsingular (the MDS property, by theorem) from Singleton
-arrays. Nothing here imports the sweep (stabilizer, _kernels) or the dense
-oracle: the structural route must stay independent of the routes it is
-checked against.
+enumeration, dual codes, and construction from Singleton arrays of A
+matrices with all square submatrices nonsingular, so MDS by theorem. A
+code is MDS iff its minimum distance is n - k + 1, the Singleton bound:
+that is how the structural route decides it. Nothing here imports the
+sweep (stabilizer, _kernels) or the dense oracle: the structural route
+must stay independent of the routes it is checked against.
 """
 
 from __future__ import annotations

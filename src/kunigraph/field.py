@@ -1,8 +1,8 @@
 """Prime fields GF(p): the modulus check and primitive elements.
 
 Elements are plain ints. Callers add and multiply them mod p themselves and
-invert a scalar with pow(x, -1, p); matrix.py inverts its elimination pivots
-in bulk. A PrimeField holds only its modulus.
+invert a scalar with pow(x, -1, p), as matrix.row_reduce does each pivot.
+A PrimeField holds only its modulus.
 """
 
 from __future__ import annotations

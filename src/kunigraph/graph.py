@@ -91,11 +91,13 @@ def bipartite_adjacency(code: LinearCode) -> Adjacency:
 
 
 def general_adjacency(code: LinearCode, b: MatrixGF) -> Adjacency:
-    """Adjacency [[0, -A], [-A^T, B]] for a free lower-right block B.
+    """Adjacency [[0, -A], [-A^T, B]] for any A and a free lower-right block B.
 
     B must be symmetric with zero diagonal so the result is a valid
-    graph; A must pass the all-square-submatrices-nonsingular test, the
-    condition under which the graph state is k-uniform.
+    graph. A is not tested. When the code [I | A] is MDS the state is at
+    least k-uniform, k the code's dimension, whatever B is (the paper's
+    theorem), and every Singleton rectangle mds_code builds is MDS.
+    verify_general_uniformity checks that bound by the sweep.
     """
     field = code.field
     m = code.n - code.k
@@ -107,8 +109,6 @@ def general_adjacency(code: LinearCode, b: MatrixGF) -> Adjacency:
         raise ValueError("B must have zero diagonal")
     if not np.array_equal(b.entries, b.entries.T):
         raise ValueError("B must be symmetric")
-    if not code.a_matrix.all_square_submatrices_nonsingular():
-        raise ValueError("A has a singular square submatrix")
     g = _bipartite_block(field, code.a_matrix)
     g[code.k :, code.k :] = b.entries
     return Adjacency(MatrixGF(field, g))

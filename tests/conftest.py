@@ -1,3 +1,6 @@
+from itertools import combinations, permutations
+
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -9,7 +12,8 @@ from kunigraph import (
     hierarchy_state_from_codes,
     state_from_code,
 )
-from kunigraph.codes import mds_code
+from kunigraph.codes import mds_a_matrix, mds_code
+from kunigraph.matrix import row_reduce
 
 # fixed examples and no deadline: the suite gives the same verdict on every run,
 # however loaded the host is
@@ -17,6 +21,61 @@ settings.register_profile("deterministic", derandomize=True, deadline=None, data
 settings.load_profile("deterministic")
 
 PAPER_A_2x4 = [[1, 1, 1, 1], [1, 2, 3, 4]]
+
+
+def perm_expansion_det(entries, p):
+    """Determinant by signed permutation expansion (test-side oracle)."""
+    n = len(entries)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = sign
+        for i in range(n):
+            term *= entries[i][perm[i]]
+        total += term
+    return total % p
+
+
+def brute_minors_all_nonsingular(entries, p):
+    """Exhaustive minor check through the expansion oracle.
+
+    [I | A] is MDS iff every square submatrix of A is nonsingular
+    (MacWilliams and Sloane, ch. 11), so this is the oracle the
+    library's MDS rule, min_distance == n - k + 1, is checked against.
+    """
+    rows, cols = len(entries), len(entries[0])
+    for t in range(1, min(rows, cols) + 1):
+        for rsel in combinations(range(rows), t):
+            for csel in combinations(range(cols), t):
+                minor = [[entries[r][c] for c in csel] for r in rsel]
+                if perm_expansion_det(minor, p) == 0:
+                    return False
+    return True
+
+
+def mds_block_variant(f, rows, cols, rng):
+    """An MDS block as built, with one entry redrawn, or with one planted singular minor."""
+    entries = np.array(mds_a_matrix(f, rows, cols).entries)
+    kind = rng.integers(3)
+    if kind == 1:
+        entries[rng.integers(rows), rng.integers(cols)] = rng.integers(1, f.p)
+    elif kind == 2 and min(rows, cols) > 1:
+        t = int(rng.integers(2, min(rows, cols) + 1))
+        r = np.sort(rng.choice(rows, t, replace=False))
+        c = np.sort(rng.choice(cols, t, replace=False))
+        i, j = rng.integers(t, size=2)
+        # the one value of entry (i, j) that makes the minor on r, c singular
+        minor = entries[np.ix_(r, c)]
+        for value in range(f.p):
+            minor[i, j] = value
+            if row_reduce(minor, f)[1] < t:
+                break
+        entries[r[i], c[j]] = value
+    return entries
 
 
 @pytest.fixture(scope="session")

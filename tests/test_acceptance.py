@@ -10,6 +10,7 @@ import time
 from itertools import combinations, product
 
 import numpy as np
+from conftest import brute_minors_all_nonsingular
 
 from kunigraph import cli
 from kunigraph.analysis import rank_split_check
@@ -132,7 +133,8 @@ def test_criterion_7_row_combination_zero_bound_over_all_rectangles():
                         if (r0 + k - 1) + (c0 + m - 1) > p - 1:
                             break
                         a = MatrixGF(f, [arr[r0 + i][c0 : c0 + m] for i in range(k)])
-                        assert a.all_square_submatrices_nonsingular(), (p, r0, c0, k, m)
+                        assert brute_minors_all_nonsingular(a.entries.tolist(), p), \
+                            (p, r0, c0, k, m)
                         for coeffs in product(range(p), repeat=k):
                             t = sum(1 for c in coeffs if c)
                             if t == 0:

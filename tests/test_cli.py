@@ -15,7 +15,6 @@ from kunigraph import (
     state_from_code,
 )
 from kunigraph import cli, codes
-from kunigraph.matrix import MatrixGF
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +69,15 @@ def test_build_with_state(tmp_path, capsys):
     state = json.loads((tmp_path / "state.json").read_text())
     assert state["sparse"] is True
     assert len(state["amplitudes"]) == 25
+
+
+@pytest.mark.parametrize("b_mode", ["zero", "random"])
+def test_build_past_the_state_guard_writes_no_file(tmp_path, capsys, b_mode):
+    # 11^12 amplitudes: the state guard refuses before code.json is written
+    out = tmp_path / "out"
+    argv = ["build", "--p", "11", "--n", "12", "--k", "6", "--b-mode", b_mode]
+    assert run_cli(capsys, *argv, "--with-state", "--out", str(out)) == (3, "")
+    assert not out.exists()
 
 
 # each construction form with the state a library call builds from the same inputs
@@ -503,9 +511,9 @@ def test_export_refuses_inexact_adjacency_json(tmp_path, capsys, payload):
 # MDS tests per command
 # ---------------------------------------------------------------------------
 
-# construction proves each level's code MDS by theorem and tests no minor:
-# one MDS test for the structural route, one per general_adjacency call (each
-# random B)
+# construction proves each level's code MDS by theorem and general_adjacency
+# takes any A, so the structural route alone tests a code: it computes the
+# [6, 2] code's distance once and reads structural_mds_ok off it
 MDS_TESTS_PER_COMMAND = [
     pytest.param(
         ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "stabilizer"], 0,
@@ -525,12 +533,12 @@ MDS_TESTS_PER_COMMAND = [
     ),
     pytest.param(
         ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "stabilizer",
-         "--random-b", "3"], 3,
+         "--random-b", "3"], 0,
         id="verify-random-b-trials",
     ),
     pytest.param(
         ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "stabilizer",
-         "--b-mode", "random"], 1,
+         "--b-mode", "random"], 0,
         id="verify-b-mode-random",
     ),
     pytest.param(["hierarchy", "--p", "7", "--levels", "7:3,4:2,2:1"], 0, id="hierarchy"),
@@ -547,41 +555,49 @@ MDS_TESTS_PER_COMMAND = [
 ]
 
 
+def distances_per_code(monkeypatch, tmp_path, capsys, argv):
+    """The (n, k) of each code the command computes a minimum distance of, one per call."""
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    compute = cli.min_distance
+
+    def counted(code):
+        calls.append((code.n, code.k))
+        return compute(code)
+
+    monkeypatch.setattr(cli, "min_distance", counted)
+    status, _ = run_cli(capsys, *argv)
+    assert status == 0
+    return calls
+
+
 @pytest.mark.parametrize("argv, expected", MDS_TESTS_PER_COMMAND)
 def test_each_command_runs_one_mds_test_per_code_it_builds(
     tmp_path, monkeypatch, capsys, argv, expected
 ):
-    monkeypatch.chdir(tmp_path)
-    calls = []
-    check = MatrixGF.all_square_submatrices_nonsingular
-
-    def counted(self):
-        calls.append(self.shape)
-        return check(self)
-
-    monkeypatch.setattr(MatrixGF, "all_square_submatrices_nonsingular", counted)
-    status, _ = run_cli(capsys, *argv)
-    assert status == 0
-    assert len(calls) == expected, calls
+    calls = distances_per_code(monkeypatch, tmp_path, capsys, argv)
+    assert calls.count((6, 2)) == expected, calls
 
 
-# each A block is tested once, however many of the calls above read its verdict
+# the structural route computes two distances, the code's and its dual's, each
+# once, however many fields of its result read them; no other command computes one
 MDS_VERDICTS_PER_COMMAND = [
     pytest.param(
-        ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "structural"], 1,
+        ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "structural"],
+        [(6, 2), (6, 4)],
         id="verify-structural",
     ),
     pytest.param(
-        ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "all"], 1,
+        ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "all"], [(6, 2), (6, 4)],
         id="verify-all",
     ),
     pytest.param(
         ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "stabilizer",
-         "--random-b", "3"], 1,
+         "--random-b", "3"], [],
         id="verify-random-b-trials",
     ),
-    pytest.param(["hierarchy", "--p", "7", "--levels", "7:3,4:2,2:1"], 0, id="hierarchy"),
-    pytest.param(["slocc", "--p", "5", "--pair", "6:2", "6:2+2:1"], 0, id="slocc"),
+    pytest.param(["hierarchy", "--p", "7", "--levels", "7:3,4:2,2:1"], [], id="hierarchy"),
+    pytest.param(["slocc", "--p", "5", "--pair", "6:2", "6:2+2:1"], [], id="slocc"),
 ]
 
 
@@ -589,18 +605,7 @@ MDS_VERDICTS_PER_COMMAND = [
 def test_each_command_computes_one_mds_verdict_per_code_it_builds(
     tmp_path, monkeypatch, capsys, argv, expected
 ):
-    monkeypatch.chdir(tmp_path)
-    verdicts = []
-    compute = MatrixGF._minors_nonsingular
-
-    def counted(self):
-        verdicts.append(self.shape)
-        return compute(self)
-
-    monkeypatch.setattr(MatrixGF, "_minors_nonsingular", counted)
-    status, _ = run_cli(capsys, *argv)
-    assert status == 0
-    assert len(verdicts) == expected, verdicts
+    assert distances_per_code(monkeypatch, tmp_path, capsys, argv) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +690,16 @@ def test_empty_levels_echo_the_n_k_shorthand(capsys):
     )
     assert status == 0
     assert doc["config"]["levels"] == "6:2"
+
+
+@pytest.mark.parametrize("subcommand", ["build", "verify", "hierarchy"])
+@pytest.mark.parametrize("shorthand", [["--n", "8", "--k", "3"], ["--n", "8"], ["--k", "3"]])
+def test_levels_with_the_n_k_shorthand_are_invalid_input(capsys, subcommand, shorthand):
+    # neither is dropped in silence: --levels 6:2 --n 8 --k 3 would run 6:2 and echo it
+    assert cli.main([subcommand, "--p", "5", "--levels", "6:2", *shorthand]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "give either --levels or --n and --k, not both" in captured.err
 
 
 def test_identical_invocations_are_byte_identical(tmp_path, capsys):

@@ -131,10 +131,12 @@ def test_general_builder_rejects_bad_blocks(f5):
         general_adjacency(code, MatrixGF.zeros(PrimeField(7), 4, 4))  # wrong field
 
 
-def test_general_builder_rejects_singular_a(f5):
+def test_general_builder_accepts_an_a_with_a_singular_minor(f5):
+    # the builder checks B only: a non-MDS A builds its bipartite block all the same
     code = LinearCode(MatrixGF(f5, [[1, 1], [1, 1]]))
-    with pytest.raises(ValueError):
-        general_adjacency(code, MatrixGF.zeros(f5, 2, 2))
+    adj = general_adjacency(code, MatrixGF.zeros(f5, 2, 2))
+    assert adj == bipartite_adjacency(code)
+    assert adj.gamma.entries[:2, 2:].tolist() == [[4, 4], [4, 4]]
 
 
 def test_random_b_matrix_is_valid(f5):

@@ -2,14 +2,16 @@
 
 The fuzz tests run kunigraph in process on random argv, random adjacency
 files and random JSON payloads. Each run must exit 0, 1, 2 or 3 (argparse's
-SystemExit(2) counts as exit 2), raise nothing else, and leave stdout empty
-on exits 2 and 3; each library reader must return or raise ValueError.
+SystemExit(2) counts as exit 2) and raise nothing else; on exits 2 and 3 it
+must leave stdout empty and every --out tree as it found it. Each library
+reader must return or raise ValueError.
 """
 
 import copy
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,11 +212,21 @@ def argvs(draw, out_dir):
     return argv
 
 
+def tree(root):
+    """root and every path under it that exists: a file with its bytes, a directory with None."""
+    root = Path(root)
+    return {path: path.read_bytes() if path.is_file() else None
+            for path in [root, *root.rglob("*")] if path.exists()}
+
+
 def check_exit(argv):
+    outs = [value for flag, value in zip(argv, argv[1:]) if flag == "--out"]
+    before = [tree(path) for path in outs]
     status, out = run(argv)
     assert status in (0, 1, 2, 3), (argv, status)
-    if status in (2, 3):
+    if status in (2, 3):  # nothing printed and nothing written
         assert out == "", argv
+        assert [tree(path) for path in outs] == before, argv
 
 
 @given(data=st.data())

@@ -1,48 +1,19 @@
 import tracemalloc
-from itertools import combinations, permutations, product
-from math import comb
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from conftest import brute_minors_all_nonsingular, mds_block_variant, perm_expansion_det
 from hypothesis import given, strategies as st
 
-from kunigraph import matrix
-from kunigraph.codes import LinearCode, mds_a_matrix
+from kunigraph import codes, matrix
+from kunigraph.codes import LinearCode, mds_a_matrix, min_distance
 from kunigraph.field import PrimeField
 from kunigraph.graph import Adjacency
 from kunigraph.matrix import MatrixGF, row_reduce
 
 PAPER_A = [[1, 1, 1, 1], [1, 2, 3, 4]]
 A_3x3 = [[1, 1, 1], [1, 2, 3], [1, 3, 4]]
-
-
-def perm_expansion_det(entries, p):
-    """Determinant by signed permutation expansion (test-side oracle)."""
-    n = len(entries)
-    total = 0
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = sign
-        for i in range(n):
-            term *= entries[i][perm[i]]
-        total += term
-    return total % p
-
-
-def brute_minors_all_nonsingular(entries, p):
-    """Exhaustive minor check through the expansion oracle."""
-    rows, cols = len(entries), len(entries[0])
-    for t in range(1, min(rows, cols) + 1):
-        for rsel in combinations(range(rows), t):
-            for csel in combinations(range(cols), t):
-                minor = [[entries[r][c] for c in csel] for r in rsel]
-                if perm_expansion_det(minor, p) == 0:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -129,61 +100,47 @@ def test_row_reduce_ranks_match_brute_force(case):
 
 
 def test_eliminations_invert_only_nonzero_pivots(monkeypatch):
-    # row_reduce inverts each pivot alone, by pow; the MDS test a batch of
-    # Schur pivots per batch of minors
-    scalars, seen = [], []
-    inverses = matrix._inverses
-    monkeypatch.setattr(matrix, "_inverses", lambda values, p: seen.append(values) or inverses(values, p))
+    # row_reduce inverts each pivot alone, by pow, in the distance search's
+    # information sets too
+    scalars = []
     monkeypatch.setattr(matrix, "pow", lambda x, e, p: scalars.append(x) or pow(x, e, p), raising=False)
     f = PrimeField(13)
     m = np.random.default_rng(7).integers(0, 13, size=(4, 7))
     m[3] = (2 * m[0] + m[1]) % 13
     assert row_reduce(m, f)[1] == 3
     assert row_reduce(np.zeros((4, 7), dtype=np.int64), f)[1] == 0
-    assert len(scalars) == 3 and all(scalars) and not seen
-    assert MatrixGF(f, mds_a_matrix(f, 5, 6).entries).all_square_submatrices_nonsingular()
-    assert len(seen) > 1 and all(values.all() for values in seen)
+    assert len(scalars) == 3 and all(scalars)
+    assert is_mds(f, mds_a_matrix(f, 5, 6).entries)
+    assert len(scalars) > 3 and all(scalars)
 
 
 # ---------------------------------------------------------------------------
-# the all-minors nonsingularity test
+# the MDS rule: [I | A] is MDS iff min_distance == m + 1, the Singleton bound,
+# iff every square submatrix of A is nonsingular
 # ---------------------------------------------------------------------------
+
+def is_mds(f, entries):
+    """The structural route's MDS verdict on [I | A]: d reaches n - k + 1 = m + 1."""
+    a = MatrixGF(f, entries)
+    return min_distance(LinearCode(a)) == a.cols + 1
+
 
 def test_paper_a_has_no_singular_minor(f5):
-    assert MatrixGF(f5, PAPER_A).all_square_submatrices_nonsingular()
+    assert is_mds(f5, PAPER_A) and brute_minors_all_nonsingular(PAPER_A, 5)
 
 
 def test_repeated_rows_fail(f5):
-    assert not MatrixGF(f5, [[1, 1], [1, 1]]).all_square_submatrices_nonsingular()
+    assert not is_mds(f5, [[1, 1], [1, 1]])
 
 
 def test_three_by_three_singleton_block(f5):
-    assert MatrixGF(f5, A_3x3).all_square_submatrices_nonsingular()
+    assert is_mds(f5, A_3x3) and brute_minors_all_nonsingular(A_3x3, 5)
 
 
 def test_zero_entry_fails_immediately(f5):
-    assert not MatrixGF(f5, [[1, 0], [1, 1]]).all_square_submatrices_nonsingular()
-
-
-def mds_block_variant(f, rows, cols, rng):
-    """An MDS block as built, with one entry redrawn, or with one planted singular minor."""
-    entries = np.array(mds_a_matrix(f, rows, cols).entries)
-    kind = rng.integers(3)
-    if kind == 1:
-        entries[rng.integers(rows), rng.integers(cols)] = rng.integers(1, f.p)
-    elif kind == 2 and min(rows, cols) > 1:
-        t = int(rng.integers(2, min(rows, cols) + 1))
-        r = np.sort(rng.choice(rows, t, replace=False))
-        c = np.sort(rng.choice(cols, t, replace=False))
-        i, j = rng.integers(t, size=2)
-        # the one value of entry (i, j) that makes the minor on r, c singular
-        minor = entries[np.ix_(r, c)]
-        for value in range(f.p):
-            minor[i, j] = value
-            if row_reduce(minor, f)[1] < t:
-                break
-        entries[r[i], c[j]] = value
-    return entries
+    # the zero leaves a generator row of weight 3 < m + 1: the first level of
+    # the distance search meets it
+    assert not is_mds(f5, [[1, 0], [1, 1]])
 
 
 def test_minor_check_matches_expansion_oracle():
@@ -196,11 +153,12 @@ def test_minor_check_matches_expansion_oracle():
                 entries = mds_block_variant(f, rows, cols, rng)
             else:
                 entries = rng.integers(rng.integers(0, 2), p, size=(rows, cols))
-            assert MatrixGF(f, entries).all_square_submatrices_nonsingular() == \
-                brute_minors_all_nonsingular(entries.tolist(), p), (p, entries.tolist())
+            assert is_mds(f, entries) == brute_minors_all_nonsingular(entries.tolist(), p), \
+                (p, entries.tolist())
 
 
 def test_minor_check_is_the_same_in_small_chunks(monkeypatch):
+    # the distance search encodes its messages in batches of ENCODE_CHUNK entries
     rng = np.random.default_rng(53)
     f = PrimeField(13)
     for _ in range(60):
@@ -211,22 +169,17 @@ def test_minor_check_is_the_same_in_small_chunks(monkeypatch):
             entries = rng.integers(1, 13, size=(rows, cols))
         expected = brute_minors_all_nonsingular(entries.tolist(), 13)
         for chunk in (1, 2, 3):
-            monkeypatch.setattr(matrix, "MINOR_CHUNK", chunk)
-            assert MatrixGF(f, entries).all_square_submatrices_nonsingular() == expected, \
-                (chunk, entries.tolist())
+            monkeypatch.setattr(codes, "ENCODE_CHUNK", chunk)
+            assert is_mds(f, entries) == expected, (chunk, entries.tolist())
 
 
-def test_gf17_16_8_block_spans_several_chunks(monkeypatch):
+def test_gf17_5x5_block_with_a_planted_singular_minor_of_every_size():
     f17 = PrimeField(17)
-    a = mds_a_matrix(f17, 8, 8)
-    # the 3 x 3 and 4 x 4 minors with rows and columns left below them number
-    # comb(7, 3) ** 2 each, so their complements are formed in several steps
-    monkeypatch.setattr(matrix, "MINOR_CHUNK", 256)
-    assert comb(7, 3) ** 2 > matrix.MINOR_CHUNK
-    assert MatrixGF(f17, a.entries).all_square_submatrices_nonsingular()
+    a = mds_a_matrix(f17, 5, 5)
+    assert is_mds(f17, a.entries)
     # plant a singular t x t minor on the first and on the last t rows and columns
-    for t in range(2, 9):
-        for first in (0, 8 - t):
+    for t in range(1, 6):
+        for first in (0, 5 - t):
             span = slice(first, first + t)
             # the one value of the minor's last entry that makes it singular
             minor = np.array(a.entries[span, span])
@@ -238,35 +191,23 @@ def test_gf17_16_8_block_spans_several_chunks(monkeypatch):
             assert len(singular) == 1
             ent = np.array(a.entries)
             ent[first + t - 1, first + t - 1] = singular[0]
-            assert not MatrixGF(f17, ent).all_square_submatrices_nonsingular(), (t, first)
+            assert not brute_minors_all_nonsingular(ent.tolist(), 17), (t, first)
+            assert not is_mds(f17, ent), (t, first)
 
 
 def test_minor_check_memory_is_bounded_by_the_chunk(monkeypatch):
-    # the complements live in depth-first batches of at most MINOR_CHUNK,
-    # not one batch for every minor of a size
+    # the distance search holds one batch of at most ENCODE_CHUNK encoded
+    # entries, not every message of a level at once
     f17 = PrimeField(17)
-    a = mds_a_matrix(f17, 8, 8)
-    monkeypatch.setattr(matrix, "MINOR_CHUNK", 16)
-    block = MatrixGF(f17, a.entries)
+    a = mds_a_matrix(f17, 5, 13)
+    monkeypatch.setattr(codes, "ENCODE_CHUNK", 1 << 10)
     tracemalloc.start()
     try:
-        assert block.all_square_submatrices_nonsingular()
+        assert is_mds(f17, a.entries)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 512 * 1024, peak
-
-
-def test_minor_check_verdict_is_computed_once(monkeypatch, f5):
-    computed = []
-    compute = MatrixGF._minors_nonsingular
-    monkeypatch.setattr(
-        MatrixGF, "_minors_nonsingular", lambda self: computed.append(1) or compute(self)
-    )
-    good, bad = MatrixGF(f5, PAPER_A), MatrixGF(f5, [[1, 1], [1, 1]])
-    assert [good.all_square_submatrices_nonsingular() for _ in range(3)] == [True] * 3
-    assert [bad.all_square_submatrices_nonsingular() for _ in range(3)] == [False] * 3
-    assert len(computed) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -202,10 +202,14 @@ def test_twenty_random_blocks_verify(f5):
         assert verify_general_uniformity(code, random_b_matrix(f5, 4, rng))
 
 
-def test_singular_a_is_rejected_before_verification(f5):
+def test_singular_a_builds_and_fails_the_sweep(f5):
+    # [I | A] with equal columns is not MDS: w = (0, 0, 1, 4) has support 2,
+    # as A (1, 4)^T = 0, so the sweep finds k = 1 < 2, the code's dimension
     code = LinearCode(MatrixGF(f5, [[1, 1], [1, 1]]))
-    with pytest.raises(ValueError):
-        verify_general_uniformity(code, MatrixGF.zeros(f5, 2, 2))
+    b = MatrixGF.zeros(f5, 2, 2)
+    assert not verify_general_uniformity(code, b)
+    weight, witness = minimum_support(general_adjacency(code, b))
+    assert (weight, witness.tolist()) == (2, [0, 0, 1, 4])
 
 
 # ---------------------------------------------------------------------------
