@@ -157,13 +157,17 @@ def never_encodes(monkeypatch):
     monkeypatch.setattr(codes, "_lightest", unexpected)
 
 
-def test_structural_verify_past_the_enumeration_guard_exits_3_before_encoding(
-    capsys, monkeypatch
-):
-    # the MDS verdict is read off the distance, so the guard on its q^k
-    # codewords refuses first, and nothing is printed
+# each command reads the MDS verdict off the distance, so the guard on its q^k
+# codewords refuses in place of the deleted minors guard, and nothing is printed
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "31", "--n", "32", "--k", "16", "--method", "structural"],
+        ["verify", "--p", "31", "--n", "32", "--k", "16", "--method", "all"],
+    ],
+)
+def test_commands_that_read_the_mds_verdict_exit_3_past_the_minors_guard(capsys, monkeypatch, argv):
     never_encodes(monkeypatch)
-    argv = ["verify", "--p", "31", "--n", "32", "--k", "16", "--method", "structural"]
     assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
