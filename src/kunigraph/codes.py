@@ -51,9 +51,6 @@ class LinearCode:
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearCode) and other.a_matrix == self.a_matrix
 
-    def __hash__(self) -> int:
-        return hash(("LinearCode", self.a_matrix))
-
     @property
     def generator(self) -> MatrixGF:
         """G = [I_k | A]."""
@@ -309,6 +306,4 @@ def mds_a_matrix(
 
 def mds_code(field: PrimeField, n: int, k: int, gamma=None) -> LinearCode:
     """The [n, k] MDS code generated from a Singleton-array rectangle."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
     return LinearCode(mds_a_matrix(field, k, n - k, gamma=gamma))

@@ -68,8 +68,6 @@ class PrimeField:
         g %= self.p
         if g == 0:
             return False
-        if self.p == 2:
-            return g == 1
         for f in _prime_factors(self.p - 1):
             if pow(g, (self.p - 1) // f, self.p) == 1:
                 return False

@@ -44,9 +44,6 @@ class Adjacency:
     def __eq__(self, other) -> bool:
         return isinstance(other, Adjacency) and other.gamma == self.gamma
 
-    def __hash__(self) -> int:
-        return hash(("Adjacency", self.gamma))
-
     def __repr__(self) -> str:
         return f"Adjacency(n={self.n}, p={self.field.p})"
 
@@ -93,11 +90,12 @@ def bipartite_adjacency(code: LinearCode) -> Adjacency:
 def general_adjacency(code: LinearCode, b: MatrixGF) -> Adjacency:
     """Adjacency [[0, -A], [-A^T, B]] for any A and a free lower-right block B.
 
-    B must be symmetric with zero diagonal so the result is a valid
-    graph. A is not tested. When the code [I | A] is MDS the state is at
-    least k-uniform, k the code's dimension, whatever B is (the paper's
-    theorem), and every Singleton rectangle mds_code builds is MDS.
-    verify_general_uniformity checks that bound by the sweep.
+    Adjacency refuses a B that is not symmetric or has a nonzero
+    diagonal, as Gamma's diagonal and symmetry are B's. A is not tested.
+    When the code [I | A] is MDS the state is at least k-uniform, k the
+    code's dimension, whatever B is (the paper's theorem), and every
+    Singleton rectangle mds_code builds is MDS. verify_general_uniformity
+    checks that bound by the sweep.
     """
     field = code.field
     m = code.n - code.k
@@ -105,10 +103,6 @@ def general_adjacency(code: LinearCode, b: MatrixGF) -> Adjacency:
         raise ValueError("B must live over the code's field")
     if b.shape != (m, m):
         raise ValueError(f"B must be {m}x{m}")
-    if np.any(np.diagonal(b.entries) != 0):
-        raise ValueError("B must have zero diagonal")
-    if not np.array_equal(b.entries, b.entries.T):
-        raise ValueError("B must be symmetric")
     g = _bipartite_block(field, code.a_matrix)
     g[code.k :, code.k :] = b.entries
     return Adjacency(MatrixGF(field, g))

@@ -51,9 +51,6 @@ class MatrixGF:
             and bool(np.array_equal(other.entries, self.entries))
         )
 
-    def __hash__(self) -> int:
-        return hash((self.field, self.shape, self.entries.tobytes()))
-
     def __repr__(self) -> str:
         return f"MatrixGF(p={self.field.p}, {self.entries.tolist()})"
 

@@ -7,6 +7,7 @@ import pytest
 from kunigraph import (
     Adjacency,
     LinearCode,
+    MatrixGF,
     PrimeField,
     StateVector,
     graph_state,
@@ -71,13 +72,28 @@ def test_build_with_state(tmp_path, capsys):
     assert len(state["amplitudes"]) == 25
 
 
-@pytest.mark.parametrize("b_mode", ["zero", "random"])
-def test_build_past_the_state_guard_writes_no_file(tmp_path, capsys, b_mode):
+# every refusal after parsing of a command given --out, with its exit code
+WRITE_REFUSALS = {
     # 11^12 amplitudes: the state guard refuses before code.json is written
-    out = tmp_path / "out"
-    argv = ["build", "--p", "11", "--n", "12", "--k", "6", "--b-mode", b_mode]
-    assert run_cli(capsys, *argv, "--with-state", "--out", str(out)) == (3, "")
-    assert not out.exists()
+    "zero": (["build", "--p", "11", "--n", "12", "--k", "6", "--with-state"], 3),
+    "random": (["build", "--p", "11", "--n", "12", "--k", "6", "--b-mode", "random",
+                "--with-state"], 3),
+    "build-state-guard": (["build", "--p", "65537", "--n", "2", "--k", "1", "--with-state"], 3),
+    "build-gamma": (["build", "--p", "5", "--n", "6", "--k", "2", "--gamma", "4"], 2),
+    "build-rectangle": (["build", "--p", "7", "--n", "9", "--k", "4"], 2),
+    "build-random-levels": (["build", "--p", "5", "--levels", "6:2,2:1", "--b-mode", "random"], 2),
+    "hierarchy-sweep-guard": (["hierarchy", "--p", "65537", "--n", "2", "--k", "1"], 3),
+    "hierarchy-gamma": (["hierarchy", "--p", "5", "--levels", "6:2,2:1", "--gamma", "4"], 2),
+    "export-missing": (["export", "--adjacency", "MISSING"], 2),
+}
+
+
+@pytest.mark.parametrize("case", WRITE_REFUSALS)
+def test_build_past_the_state_guard_writes_no_file(tmp_path, monkeypatch, capsys, case):
+    argv, status = WRITE_REFUSALS[case]
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv, "--out", "out") == (status, "")
+    assert not (tmp_path / "out").exists()
 
 
 # each construction form with the state a library call builds from the same inputs
@@ -265,6 +281,29 @@ def test_verify_single_zero_b_level_needs_the_exact_structural_k(capsys, monkeyp
     res = doc["result"]
     assert (res["k_structural"], res["k_stabilizer"], res["k_dense"]) == (2, 3, 3)
     assert res["agree"] is False and status == 1
+
+
+@pytest.mark.parametrize(
+    "a, k",
+    [
+        ([[1, 1], [1, 1]], 1),  # [4, 2]: d = d-dual = 2
+        ([[1, 1, 1, 1], [1, 2, 3, 4], [1, 1, 1, 1]], 1),  # [7, 3]: d = 2 < d-dual = 3
+        ([[1, 1, 1, 0]], 0),  # [5, 1]: d-dual = 1, qudit 5 is isolated
+    ],
+    ids=["4-2", "7-3", "5-1"],
+)
+def test_verify_reads_k_structural_off_both_distances_of_a_non_mds_code(
+    capsys, monkeypatch, a, k
+):
+    code = LinearCode(MatrixGF(PrimeField(5), a))
+    monkeypatch.setattr(cli, "level_codes", lambda spec, gamma=None: (code,))
+    status, doc = run_json(
+        capsys, "verify", "--p", "5", "--n", str(code.n), "--k", str(code.k), "--method", "all"
+    )
+    res = doc["result"]
+    assert res["structural_mds_ok"] is False
+    assert res["k_structural"] == res["k_stabilizer"] == res["k_dense"] == k
+    assert res["agree"] is True and status == 0
 
 
 @pytest.mark.parametrize("p, levels, calls", [(11, "8:4", 2), (13, "11:5", 2), (17, "7:3", 2)])
