@@ -41,7 +41,7 @@ from .graph import (
     random_b_matrix,
 )
 from .field import PrimeField
-from .stabilizer import SWEEP_GUARD, minimum_support, verify_general_uniformity
+from .stabilizer import SWEEP_GUARD, minimum_support, uniformity_index, verify_general_uniformity
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -162,9 +162,12 @@ def cmd_verify(args) -> tuple[dict, int]:
     if "structural" in methods:
         # [I | A] is MDS iff d reaches the Singleton bound n - k + 1
         d = min_distance(code)
-        result["structural_mds_ok"] = d == code.n - code.k + 1
+        mds = d == code.n - code.k + 1
+        result["structural_mds_ok"] = mds
         result["structural_min_distance"] = d
-        dual_d = min_distance(dual_code(code))
+        # the dual of an MDS code is MDS (MacWilliams and Sloane, ch. 11), so its
+        # distance is k + 1; any other code's dual is searched
+        dual_d = code.k + 1 if mds else min_distance(dual_code(code))
         result["structural_dual_min_distance"] = dual_d
         ks["k_structural"] = min(d, dual_d) - 1
     if "stabilizer" in methods:
@@ -201,21 +204,14 @@ def cmd_verify(args) -> tuple[dict, int]:
 def cmd_hierarchy(args) -> tuple[dict, int]:
     spec = _resolve_spec(args)
     rows = []
-    prev_edges = -1
-    monotone = True
     prefixes = nested_adjacencies(level_codes(spec, gamma=args.gamma))
     for depth, adj in enumerate(prefixes, start=1):
         levels = spec.levels[:depth]
-        weight, _ = minimum_support(adj)
-        edges = adj.edge_count()
-        if edges <= prev_edges:
-            monotone = False
-        prev_edges = edges
         rows.append(
             {
                 "levels": [list(lv) for lv in levels],
-                "edge_count": edges,
-                "k_stabilizer": weight - 1,
+                "edge_count": adj.edge_count(),
+                "k_stabilizer": uniformity_index(adj),
             }
         )
         if args.out:
@@ -223,6 +219,8 @@ def cmd_hierarchy(args) -> tuple[dict, int]:
             tag = "_".join(f"{n}-{k}" for n, k in levels)
             _write(out / f"adjacency_{tag}.json", _dumps(adj.to_json()))
             _write(out / f"graph_{tag}.dot", export_dot(adj))
+    edges = [row["edge_count"] for row in rows]
+    monotone = all(a < b for a, b in zip(edges, edges[1:]))
     return {"levels_checked": rows, "edge_counts_strictly_increase": monotone}, EXIT_OK
 
 

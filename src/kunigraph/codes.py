@@ -12,7 +12,6 @@ must stay independent of the routes it is checked against.
 from __future__ import annotations
 
 from itertools import combinations, islice
-from math import comb
 
 import numpy as np
 
@@ -88,40 +87,32 @@ def enumerate_codewords(code: LinearCode) -> np.ndarray:
     return messages @ code.generator.entries % q
 
 
-def _information_sets(code: LinearCode):
-    """Yield a generator of the code systematic on each set in turn, with its rank r_j.
+def _information_sets(code: LinearCode) -> np.ndarray:
+    """Generators of the code systematic on greedy disjoint information sets, stacked.
 
-    Set j is found greedily, only when asked for: one row reduction of G
-    with the columns no earlier set uses placed first. If those free
-    columns have rank r >= 1, the r pivots that land among them form the
-    set R_j, disjoint from the earlier ones, and the reduced generator is
-    systematic on R_j plus k - r columns of earlier sets. The first set is
-    the identity block of G = [I | A], with r = k. Sets of rank k are
-    information sets; the ranks never increase, so they come first, and
-    after sets of ranks r_1, ..., r_j the next one's rank is at most the
-    n - (r_1 + ... + r_j) free columns. The sets end once every free
-    column is zero.
+    The first set is the identity block of G = [I | A]. Each next one is
+    found by one row reduction of G with the columns no earlier set uses
+    placed first: if all k pivots land among those free columns, they form
+    an information set disjoint from the earlier ones, and the reduced
+    generator is systematic on it. The sets end at the first reduction
+    whose pivots do not, and no reduction runs once fewer than k columns
+    are free.
     """
     k, n = code.k, code.n
     gen = code.generator.entries
-    yield gen, k
+    gens = [gen]
     used = np.arange(n) < k
-    while free := n - int(np.count_nonzero(used)):
+    while (free := n - k * len(gens)) >= k:
         order = np.argsort(used, kind="stable")
         reduced, _ = row_reduce(gen[:, order], code.field)
         pivots = np.argmax(reduced != 0, axis=1)  # ascending; G has rank k
-        rank = int(np.count_nonzero(pivots < free))
-        if not rank:
-            return
+        if pivots[-1] >= free:
+            break
         systematic = np.empty_like(reduced)
         systematic[:, order] = reduced
-        used[order[pivots]] = True  # the pivots past the first rank were used already
-        yield systematic, rank
-
-
-def _messages(q: int, k: int, t: int) -> int:
-    """Messages of support size t whose first nonzero entry is 1."""
-    return comb(k, t) * (q - 1) ** (t - 1)
+        used[order[pivots]] = True
+        gens.append(systematic)
+    return np.stack(gens)
 
 
 def _lightest(gens: np.ndarray, t: int, q: int) -> int:
@@ -148,65 +139,23 @@ def _lightest(gens: np.ndarray, t: int, q: int) -> int:
 def min_distance(code: LinearCode) -> int:
     """Minimum Hamming weight over the nonzero codewords, exactly.
 
-    Information-set enumeration (Brouwer-Zimmermann, with Zimmermann's
-    bound for sets of rank below k). Generator j of _information_sets is
-    systematic on k columns: its set R_j of rank r_j and k - r_j columns
-    of earlier sets. Level t encodes, with a generator, each message of
-    support size t whose first nonzero entry is 1 (a scalar multiple of a
-    codeword has its weight). A codeword that generator j did not meet in
-    levels 1..t has weight at least t + 1 on its k columns, so at least
-    t + 1 - (k - r_j) on R_j. The R_j are disjoint, so a codeword no
-    generator run so far met weighs at least LB(t) = sum over them of
-    max(0, t + 1 - (k - r_j)), which is m(t + 1) for m information sets
-    (r_j = k).
-
-    The levels run with the m information sets, and the search stops
-    after the first level t whose best weight is <= m(t + 1), or at t = k,
-    when every codeword has been met. Before it goes on to level t + 1, it
-    takes the fewest sets of rank below k whose LB(t) reaches the best
-    weight, if running their levels 1..t costs no more messages than level
-    t + 1 would: they then end the search at level t. So it never encodes
-    more messages than the search on the information sets alone.
-
-    A set of lower rank is formed only when it could reach the best
-    weight. For t < k every term t + 1 - k is <= 0, so the sets not yet
-    formed, whose ranks sum to at most the f free columns, add at most
-    max(0, t + 1 - k + f) to LB(t) together; once that cannot reach the
-    best weight, no more are formed. The q^k enumeration guard applies.
+    Information-set enumeration (Brouwer-Zimmermann) over the m disjoint
+    information sets of _information_sets. Level t encodes, with each of
+    their generators, every message of support size t whose first nonzero
+    entry is 1 (a scalar multiple of a codeword has its weight). A codeword
+    that a generator did not meet in levels 1..t has weight at least t + 1
+    on that generator's k columns. The sets are disjoint, so a codeword no
+    generator met weighs at least m(t + 1). The search stops after the
+    first level t whose best weight is <= m(t + 1), or at t = k, when every
+    codeword has been met. The q^k enumeration guard applies.
     """
     q, k, n = code.field.p, code.k, code.n
     guarded_power(q, k, ENUMERATION_GUARD, "enumeration guard")
-    sets = _information_sets(code)
-    formed, free = [], n  # the sets formed so far, and the columns none of them uses
-    for found in sets:  # the information sets, and the first set of lower rank
-        formed.append(found)
-        free -= found[1]
-        if found[1] < k or free < k:
-            break
-    full = sum(rank == k for _, rank in formed)
-    infos = np.stack([gen for gen, _ in formed[:full]])
+    gens = _information_sets(code)
     best = n
     for t in range(1, k + 1):
-        best = min(best, _lightest(infos, t, q))
-        bound = full * (t + 1)
-        if best <= bound or t == k:
-            break
-        # the fewest sets of lower rank whose LB(t) reaches best, among as many
-        # as cost no more messages for levels 1..t than level t + 1 would
-        catch_up = sum(_messages(q, k, s) for s in range(1, t + 1))
-        extra = 0
-        while bound < best and (extra + 1) * catch_up <= full * _messages(q, k, t + 1):
-            if full + extra == len(formed):
-                if bound + t + 1 - k + free < best or not (found := next(sets, None)):
-                    break
-                formed.append(found)
-                free -= found[1]
-            bound += max(0, t + 1 - k + formed[full + extra][1])
-            extra += 1
-        if bound >= best:
-            lower = np.stack([gen for gen, _ in formed[full : full + extra]])
-            for s in range(1, t + 1):
-                best = min(best, _lightest(lower, s, q))
+        best = min(best, _lightest(gens, t, q))
+        if best <= len(gens) * (t + 1):
             break
     return best
 

@@ -22,6 +22,14 @@ settings.load_profile("deterministic")
 
 PAPER_A_2x4 = [[1, 1, 1, 1], [1, 2, 3, 4]]
 
+# (p, n, k) of every code the perfbench corpora verify by the structural route
+CORPUS_SHAPES = [
+    (11, 12, 6), (13, 11, 5), (17, 10, 5), (11, 8, 4), (13, 8, 4), (17, 8, 4),
+    (11, 9, 4), (17, 7, 3), (13, 9, 4), (11, 10, 5), (13, 10, 5), (17, 8, 3),
+    (7, 7, 3), (7, 6, 3), (13, 5, 2), (11, 5, 2), (5, 6, 2), (5, 6, 3), (7, 5, 2),
+    (5, 4, 2), (3, 4, 2), (5, 4, 1), (2, 2, 1), (11, 8, 4), (17, 7, 3),
+]
+
 
 def perm_expansion_det(entries, p):
     """Determinant by signed permutation expansion (test-side oracle)."""

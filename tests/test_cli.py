@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import CORPUS_SHAPES
 
 from kunigraph import (
     Adjacency,
@@ -16,6 +17,7 @@ from kunigraph import (
     state_from_code,
 )
 from kunigraph import cli, codes
+from kunigraph.codes import dual_code, min_distance
 
 
 def run_cli(capsys, *argv):
@@ -306,13 +308,12 @@ def test_verify_reads_k_structural_off_both_distances_of_a_non_mds_code(
     assert res["agree"] is True and status == 0
 
 
-@pytest.mark.parametrize("p, levels, calls", [(11, "8:4", 2), (13, "11:5", 2), (17, "7:3", 2)])
+@pytest.mark.parametrize("p, levels", [(11, "8:4"), (13, "11:5"), (17, "7:3")])
 def test_structural_verify_row_reduces_only_for_information_sets(
-    capsys, monkeypatch, p, levels, calls
+    capsys, monkeypatch, p, levels
 ):
-    # the dual comes from A itself; only min_distance's sets reduce, and a set of
-    # lower rank only when it could end the search, so 11:5's and 7:3's rank-1 sets
-    # are never formed
+    # an MDS code's dual is not searched; one row reduction forms the code's
+    # second information set, and the one spare column of 11:5 and 7:3 runs none
     counted = []
     reduce = codes.row_reduce
     monkeypatch.setattr(codes, "row_reduce", lambda *a: counted.append(1) or reduce(*a))
@@ -320,7 +321,7 @@ def test_structural_verify_row_reduces_only_for_information_sets(
         capsys, "verify", "--p", str(p), "--levels", levels, "--method", "structural"
     )
     assert status == 0
-    assert len(counted) == calls
+    assert len(counted) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -618,16 +619,17 @@ def test_each_command_runs_one_mds_test_per_code_it_builds(
     assert calls.count((6, 2)) == expected, calls
 
 
-# the structural route computes two distances, the code's and its dual's, each
-# once, however many fields of its result read them; no other command computes one
+# the structural route computes the code's distance once, however many fields of
+# its result read it; the code is MDS, so its dual's distance k + 1 follows by
+# theorem and is not searched; no other command computes one
 MDS_VERDICTS_PER_COMMAND = [
     pytest.param(
         ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "structural"],
-        [(6, 2), (6, 4)],
+        [(6, 2)],
         id="verify-structural",
     ),
     pytest.param(
-        ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "all"], [(6, 2), (6, 4)],
+        ["verify", "--p", "5", "--n", "6", "--k", "2", "--method", "all"], [(6, 2)],
         id="verify-all",
     ),
     pytest.param(
@@ -645,6 +647,26 @@ def test_each_command_computes_one_mds_verdict_per_code_it_builds(
     tmp_path, monkeypatch, capsys, argv, expected
 ):
     assert distances_per_code(monkeypatch, tmp_path, capsys, argv) == expected
+
+
+def test_a_non_mds_code_searches_its_dual(tmp_path, monkeypatch, capsys):
+    # [4, 2] over GF(5) with d = 2 < n - k + 1: no theorem gives d-dual, so the
+    # structural route computes the distance of the code and of its [4, 2] dual
+    code = LinearCode(MatrixGF(PrimeField(5), [[1, 1], [1, 1]]))
+    monkeypatch.setattr(cli, "level_codes", lambda spec, gamma=None: (code,))
+    argv = ["verify", "--p", "5", "--n", "4", "--k", "2", "--method", "structural"]
+    assert distances_per_code(monkeypatch, tmp_path, capsys, argv) == [(4, 2), (4, 2)]
+
+
+def test_the_mds_dual_distance_by_theorem_matches_the_search(capsys):
+    for p, n, k in CORPUS_SHAPES:
+        status, doc = run_json(
+            capsys, "verify", "--p", str(p), "--n", str(n), "--k", str(k),
+            "--method", "structural",
+        )
+        assert status == 0 and doc["result"]["structural_mds_ok"] is True, (p, n, k)
+        dual = dual_code(mds_code(PrimeField(p), n, k))
+        assert doc["result"]["structural_dual_min_distance"] == min_distance(dual), (p, n, k)
 
 
 # ---------------------------------------------------------------------------
